@@ -1,9 +1,6 @@
 package baselines
 
 import (
-	"sort"
-
-	"dsp/internal/cluster"
 	"dsp/internal/sim"
 	"dsp/internal/units"
 )
@@ -23,49 +20,26 @@ func (Amoeba) Name() string { return "Amoeba" }
 
 // Epoch implements sim.Preemptor.
 func (Amoeba) Epoch(now units.Time, v *sim.View) []sim.Action {
-	var out []sim.Action
-	for k := 0; k < v.Cluster().Len(); k++ {
-		node := cluster.NodeID(k)
-		waiting := v.Queue(node)
-		running := v.Running(node)
-		if len(waiting) == 0 || len(running) == 0 {
-			continue
-		}
-		speed := v.Speed(node)
-		rem := func(t *sim.TaskState) units.Time { return t.LiveRemainingTime(now, speed) }
+	return matchEpoch(v, shorterStarterOrStop, func(buf []cand, speed float64, running, waiting []*sim.TaskState) ([]cand, int) {
 		// Victims in descending live remaining time (most resources
 		// first).
-		victims := append([]*sim.TaskState(nil), running...)
-		sort.Slice(victims, func(a, b int) bool {
-			ra, rb := rem(victims[a]), rem(victims[b])
-			if ra != rb {
-				return ra > rb
-			}
-			return lessTask(victims[a], victims[b])
-		})
-		// Starters in ascending remaining time (smallest first).
-		starters := append([]*sim.TaskState(nil), waiting...)
-		sort.Slice(starters, func(a, b int) bool {
-			ra, rb := rem(starters[a]), rem(starters[b])
-			if ra != rb {
-				return ra < rb
-			}
-			return lessTask(starters[a], starters[b])
-		})
-		vi := 0
-		for _, s := range starters {
-			if vi >= len(victims) {
-				break
-			}
-			if rem(s) < rem(victims[vi]) {
-				out = append(out, sim.Action{Node: node, Victim: victims[vi], Starter: s})
-				vi++
-			} else {
-				break // starters only get longer from here
-			}
+		for i, r := range running {
+			rem := r.LiveRemainingTime(now, speed)
+			c := keyed(r, i, rem)
+			c.a = -rem
+			buf = append(buf, c)
 		}
-	}
-	return out
+		nv := len(buf)
+		// Starters in ascending remaining time (smallest first), so the
+		// first one that is not shorter than its victim ends the walk.
+		for i, s := range waiting {
+			rem := s.LiveRemainingTime(now, speed)
+			c := keyed(s, i, rem)
+			c.a = rem
+			buf = append(buf, c)
+		}
+		return buf, nv
+	})
 }
 
 // Natjam is the eviction policy of [21]: production jobs have priority
@@ -85,52 +59,33 @@ func (Natjam) Name() string { return "Natjam" }
 
 // Epoch implements sim.Preemptor.
 func (Natjam) Epoch(now units.Time, v *sim.View) []sim.Action {
-	var out []sim.Action
 	arrivalWindow := now - v.Epoch()
-	for k := 0; k < v.Cluster().Len(); k++ {
-		node := cluster.NodeID(k)
-		waiting := v.Queue(node)
-		running := v.Running(node)
-		if len(waiting) == 0 || len(running) == 0 {
-			continue
-		}
-		// Only research tasks are evictable.
-		var victims []*sim.TaskState
-		for _, r := range running {
+	return matchEpoch(v, anyStarter, func(buf []cand, speed float64, running, waiting []*sim.TaskState) ([]cand, int) {
+		// Only research tasks are evictable: most resources (longest
+		// remaining time) first, latest deadline next.
+		for i, r := range running {
 			if !r.Job.Dag.Production {
-				victims = append(victims, r)
+				rem := r.LiveRemainingTime(now, speed)
+				c := keyed(r, i, rem)
+				c.a, c.b = -rem, -r.Deadline
+				buf = append(buf, c)
 			}
 		}
-		if len(victims) == 0 {
-			continue
-		}
-		speed := v.Speed(node)
-		sort.Slice(victims, func(a, b int) bool {
-			ra := victims[a].LiveRemainingTime(now, speed)
-			rb := victims[b].LiveRemainingTime(now, speed)
-			if ra != rb {
-				return ra > rb // most resources first
-			}
-			if victims[a].Deadline != victims[b].Deadline {
-				return victims[a].Deadline > victims[b].Deadline // latest deadline next
-			}
-			return lessTask(victims[a], victims[b])
-		})
+		nv := len(buf)
 		// Only freshly enqueued, never-run production tasks preempt, in
-		// queue order.
-		vi := 0
-		for _, s := range waiting {
-			if vi >= len(victims) {
+		// queue order; each takes one victim, so the first nv suffice.
+		for i, s := range waiting {
+			if len(buf) == 2*nv {
 				break
 			}
-			if !s.Job.Dag.Production || s.FirstStart >= 0 || s.QueuedAt < arrivalWindow {
-				continue
+			if s.Job.Dag.Production && s.FirstStart < 0 && s.QueuedAt >= arrivalWindow {
+				c := keyed(s, i, 0)
+				c.a = units.Time(i)
+				buf = append(buf, c)
 			}
-			out = append(out, sim.Action{Node: node, Victim: victims[vi], Starter: s})
-			vi++
 		}
-	}
-	return out
+		return buf, nv
+	})
 }
 
 // SRPT is the decentralized preemptive policy of [22]: task priority is
@@ -164,43 +119,22 @@ func (s *SRPT) priority(t *sim.TaskState, now units.Time, speed float64) float64
 
 // Epoch implements sim.Preemptor.
 func (s *SRPT) Epoch(now units.Time, v *sim.View) []sim.Action {
-	var out []sim.Action
-	for k := 0; k < v.Cluster().Len(); k++ {
-		node := cluster.NodeID(k)
-		waiting := v.Queue(node)
-		running := v.Running(node)
-		if len(waiting) == 0 || len(running) == 0 {
-			continue
+	return matchEpoch(v, shorterStarter, func(buf []cand, speed float64, running, waiting []*sim.TaskState) ([]cand, int) {
+		// Lowest priority evicted first.
+		for i, r := range running {
+			c := keyed(r, i, r.LiveRemainingTime(now, speed))
+			c.p = s.priority(r, now, speed)
+			buf = append(buf, c)
 		}
-		speed := v.Speed(node)
-		victims := append([]*sim.TaskState(nil), running...)
-		sort.Slice(victims, func(a, b int) bool {
-			pa, pb := s.priority(victims[a], now, speed), s.priority(victims[b], now, speed)
-			if pa != pb {
-				return pa < pb // lowest priority evicted first
-			}
-			return lessTask(victims[a], victims[b])
-		})
-		starters := append([]*sim.TaskState(nil), waiting...)
-		sort.Slice(starters, func(a, b int) bool {
-			pa, pb := s.priority(starters[a], now, speed), s.priority(starters[b], now, speed)
-			if pa != pb {
-				return pa > pb // highest priority starts first
-			}
-			return lessTask(starters[a], starters[b])
-		})
-		vi := 0
-		for _, st := range starters {
-			if vi >= len(victims) {
-				break
-			}
-			// Classic SRPT preemption test: strictly shorter remaining
-			// work than the longest-remaining victim.
-			if st.LiveRemainingTime(now, speed) < victims[vi].LiveRemainingTime(now, speed) {
-				out = append(out, sim.Action{Node: node, Victim: victims[vi], Starter: st})
-				vi++
-			}
+		nv := len(buf)
+		// Highest priority starts first, if it passes the classic SRPT
+		// preemption test: strictly shorter remaining work than the
+		// victim.
+		for i, st := range waiting {
+			c := keyed(st, i, st.LiveRemainingTime(now, speed))
+			c.p = -s.priority(st, now, speed)
+			buf = append(buf, c)
 		}
-	}
-	return out
+		return buf, nv
+	})
 }

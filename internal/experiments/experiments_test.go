@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"dsp/internal/cluster"
@@ -47,6 +50,32 @@ func TestFig5ShapesRealCluster(t *testing.T) {
 			t.Errorf("at h=%v DSP makespan %v > TetrisW/oDep %v",
 				x, tb.Get(x, "DSP"), tb.Get(x, "TetrisW/oDep"))
 		}
+	}
+}
+
+// fig6TablesSHA256 is the sha256 of every Fig6(Real) and Fig6(EC2)
+// panel rendered at tinyOptions(), recorded before the baseline
+// preemptors moved from per-epoch sorts to the keyed heap matcher. Any
+// change to a preemption decision, a table value or its formatting
+// moves it.
+const fig6TablesSHA256 = "589a5bd3865c1fe6beeabd08cf5427d1a22e314d78771801f38da1948873b471"
+
+// TestFig6TablesPinned pins the rendered Fig 6/7 tables byte for byte, so
+// a preemptor optimization that changes any decision fails tier-1.
+func TestFig6TablesPinned(t *testing.T) {
+	var sb strings.Builder
+	for _, p := range []Platform{Real, EC2} {
+		f, err := Fig6(p, tinyOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tb := range f.All() {
+			sb.WriteString(tb.Render())
+		}
+	}
+	sum := sha256.Sum256([]byte(sb.String()))
+	if got := hex.EncodeToString(sum[:]); got != fig6TablesSHA256 {
+		t.Errorf("Fig6 tables sha256 = %s, want %s; rendered tables:\n%s", got, fig6TablesSHA256, sb.String())
 	}
 }
 

@@ -116,8 +116,8 @@ func runCells(name string, o Options, cells []Cell) error {
 	}
 
 	run := func(i int) {
-		t0 := time.Now()
 		if !profiled {
+			t0 := time.Now()
 			commits[i], errs[i] = cells[i].Run(nil)
 			cellUS[i] = float64(time.Since(t0).Microseconds())
 			return
@@ -126,8 +126,11 @@ func runCells(name string, o Options, cells []Cell) error {
 		// wall reading, so the cell's phase totals tile (a hair under) its
 		// recorded wall time: everything sim.Run doesn't claim stays in
 		// cell-other. Unwind also closes any frames an error path left
-		// open inside the simulation.
+		// open inside the simulation. The timer is allocated before t0:
+		// a GC assist charged to that allocation on a loaded machine is
+		// profiler cost, and took milliseconds outside every phase.
 		tm := prof.New()
+		t0 := time.Now()
 		tm.Enter(prof.PhaseCellOther)
 		commits[i], errs[i] = cells[i].Run(tm)
 		tm.Unwind()
