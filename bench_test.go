@@ -243,7 +243,7 @@ func BenchmarkAblationILP(b *testing.B) {
 
 // observerWorkload is the RealCluster(50) fixture the observer-overhead
 // guards share: enough jobs to keep the cluster contended so the
-// preemptor, and therefore every observer hook, stays hot.
+// preemptor, and therefore every observer event kind, stays hot.
 func observerWorkload(tb testing.TB) *trace.Workload {
 	tb.Helper()
 	spec := trace.DefaultSpec(20, 41)
@@ -273,14 +273,15 @@ func runObserved(tb testing.TB, o sim.Observer) *sim.Result {
 
 // BenchmarkObserverOverhead compares a full RealCluster(50) simulation
 // with no observer (the engine's nil fast path), with the atomic
-// counter registry, and with a no-op observer (pure dispatch cost).
+// counter registry, and with an empty Observers fan-out (pure dispatch
+// cost).
 func BenchmarkObserverOverhead(b *testing.B) {
 	for _, variant := range []struct {
 		name string
 		mk   func() sim.Observer
 	}{
 		{"nil", func() sim.Observer { return nil }},
-		{"nop", func() sim.Observer { return sim.NopObserver{} }},
+		{"nop", func() sim.Observer { return sim.Observers{} }},
 		{"counters", func() sim.Observer { return obs.NewCounters() }},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
@@ -411,16 +412,17 @@ func TestProfHotPathOverhead(t *testing.T) {
 }
 
 // TestCountersNoAllocs pins the per-event cost of the counter registry:
-// no allocation on any hot-path hook.
+// no allocation on any hot-path event, delivered through the interface
+// as the engine delivers it.
 func TestCountersNoAllocs(t *testing.T) {
-	c := obs.NewCounters()
+	var c sim.Observer = obs.NewCounters()
 	task := &sim.TaskState{}
 	if n := testing.AllocsPerRun(1000, func() {
-		c.TaskStarted(0, task, 0)
-		c.TaskPreempted(0, task, task, 0)
-		c.TaskCompleted(0, task, 0)
-		c.EpochStarted(0, 1)
-		c.PreemptionConsidered(0, sim.PreemptionDecision{Verdict: sim.VerdictAccepted})
+		c.Observe(sim.Event{Kind: sim.TaskStarted, Task: task})
+		c.Observe(sim.Event{Kind: sim.TaskPreempted, Task: task, Starter: task})
+		c.Observe(sim.Event{Kind: sim.TaskCompleted, Task: task})
+		c.Observe(sim.Event{Kind: sim.EpochStarted, N: 1})
+		c.Observe(sim.Event{Kind: sim.PreemptionConsidered, Decision: sim.PreemptionDecision{Verdict: sim.VerdictAccepted}})
 	}); n != 0 {
 		t.Errorf("counter hot path allocates %v times per event batch, want 0", n)
 	}

@@ -33,9 +33,6 @@
 //	             (schema dsp-bench-sweep/v2: wall time, cells/sec,
 //	             per-cell µs and per-cell phase breakdowns; the report
 //	             is round-trip validated before it is written)
-//	-bench-schema v1|v2
-//	             report schema for -bench-json (default v2; v1 drops the
-//	             phase breakdowns for consumers pinned to the old format)
 //
 // Compare mode diffs two -bench-json reports and exits non-zero when the
 // new one regressed — per-phase aggregate totals beyond -compare-phase-tol
@@ -100,7 +97,6 @@ func run(args []string, out *os.File) error {
 	phases := fs.Bool("phases", false, "print the aggregate scheduler-phase table after the sweeps")
 	recoverySmoke := fs.Int("recovery-smoke", 0, "kill/recover the crash-recovery stress cell at N seeded points and verify byte-identical artifacts (0 disables)")
 	benchJSON := fs.String("bench-json", "", "write a dsp-bench-sweep JSON benchmark report to FILE")
-	benchSchema := fs.String("bench-schema", "v2", "schema for -bench-json: v2 (phase breakdowns) or v1 (wall times only)")
 	compare := fs.Bool("compare", false, "compare mode: diff two -bench-json reports (OLD.json NEW.json) and exit non-zero on regression")
 	phaseTol := fs.Float64("compare-phase-tol", 0, "allowed per-phase total growth fraction (0 = default 0.20)")
 	totalTol := fs.Float64("compare-total-tol", 0, "allowed total wall-time growth fraction (0 = default 0.10)")
@@ -117,9 +113,6 @@ func run(args []string, out *os.File) error {
 		return runCompare(rest[0], rest[1], experiments.CompareThresholds{
 			PhaseFrac: *phaseTol, TotalFrac: *totalTol, MinPhaseUS: *minPhaseUS,
 		}, out)
-	}
-	if *benchSchema != "v1" && *benchSchema != "v2" {
-		return fmt.Errorf("-bench-schema must be v1 or v2, got %q", *benchSchema)
 	}
 
 	if addr, err := obs.StartPprof(*pprofAddr); err != nil {
@@ -346,9 +339,6 @@ func run(args []string, out *os.File) error {
 			Seed:        o.Seed,
 			Sweeps:      stats.Sweeps,
 			TotalWallMS: stats.TotalWallMS(),
-		}
-		if *benchSchema == "v1" {
-			report.StripToV1()
 		}
 		data, err := report.Marshal()
 		if err != nil {

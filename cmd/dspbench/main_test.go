@@ -152,37 +152,6 @@ func TestBenchJSONSelfCompareAndRegression(t *testing.T) {
 	}
 }
 
-// TestBenchSchemaV1 pins the downgrade path: -bench-schema v1 writes a
-// v1 report with no phase breakdowns, and bad schema values are
-// rejected.
-func TestBenchSchemaV1(t *testing.T) {
-	rep := filepath.Join(t.TempDir(), "bench.v1.json")
-	if err := run(benchArgs("-bench-json", rep, "-bench-schema", "v1"), devNull(t)); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := experiments.ReadBenchReport(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Schema != experiments.BenchSchemaV1 {
-		t.Errorf("schema = %q, want %q", r.Schema, experiments.BenchSchemaV1)
-	}
-	for _, sw := range r.Sweeps {
-		for _, ct := range sw.CellTimes {
-			if ct.Phases != nil {
-				t.Fatalf("v1 report still carries phases in cell %s", ct.Label)
-			}
-		}
-	}
-	if err := run(benchArgs("-bench-json", rep, "-bench-schema", "v3"), devNull(t)); err == nil {
-		t.Error("bogus -bench-schema accepted")
-	}
-}
-
 // TestCompareArgErrors pins the compare-mode CLI contract.
 func TestCompareArgErrors(t *testing.T) {
 	if err := run([]string{"-compare", "only-one.json"}, devNull(t)); err == nil {

@@ -311,7 +311,7 @@ func run(args []string) error {
 			}
 		}
 		if cfg.Observer != nil {
-			cfg.Observer.RecoveryStarted(st.Now, st.PeriodIndex)
+			cfg.Observer.Observe(sim.Event{Kind: sim.RecoveryStarted, At: st.Now, N: st.PeriodIndex})
 		}
 		fmt.Fprintf(os.Stderr, "resuming from snapshot at t=%v (period %d), verifying %d logged decisions\n",
 			st.Now, st.PeriodIndex, mgr.ReplayTarget())

@@ -5,7 +5,6 @@ import (
 
 	"dsp/internal/dag"
 	"dsp/internal/sim"
-	"dsp/internal/units"
 )
 
 // Recorder is a sim.Observer that collects task spans as the engine
@@ -13,8 +12,6 @@ import (
 // safe for concurrent reads (the telemetry server scrapes aggregates
 // while the simulation owns the write path).
 type Recorder struct {
-	sim.NopObserver
-
 	mu    sync.Mutex
 	spans map[dag.Key][]Span
 	jobs  []JobAttribution
@@ -64,8 +61,18 @@ func (r *Recorder) Reset() {
 	r.aggJobs = 0
 }
 
-// TaskSpanClosed implements sim.Observer.
-func (r *Recorder) TaskSpanClosed(s sim.TaskSpan) {
+// Observe implements sim.Observer: it keeps TaskSpanClosed spans and
+// attributes each job at its JobCompleted event.
+func (r *Recorder) Observe(ev sim.Event) {
+	switch ev.Kind {
+	case sim.TaskSpanClosed:
+		r.addSpan(ev.Span)
+	case sim.JobCompleted:
+		r.completeJob(ev.Job)
+	}
+}
+
+func (r *Recorder) addSpan(s sim.TaskSpan) {
 	k := s.Task.Key()
 	r.mu.Lock()
 	r.spans[k] = append(r.spans[k], Span{
@@ -77,10 +84,9 @@ func (r *Recorder) TaskSpanClosed(s sim.TaskSpan) {
 	r.mu.Unlock()
 }
 
-// JobCompleted implements sim.Observer: the job is attributed
-// immediately and its per-task span records released, bounding memory
-// to in-flight jobs.
-func (r *Recorder) JobCompleted(_ units.Time, j *sim.JobState) {
+// completeJob attributes the job immediately and releases its per-task
+// span records, bounding memory to in-flight jobs.
+func (r *Recorder) completeJob(j *sim.JobState) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	att := Attribute(j, func(id dag.TaskID) []Span {

@@ -53,24 +53,6 @@ func NewJob(id JobID, n int) *Job {
 // Len returns the number of tasks m in the job.
 func (j *Job) Len() int { return len(j.Tasks) }
 
-// Grow appends n new tasks to the job and returns their IDs, supporting
-// the paper's future-work scenario of dynamically added tasks that
-// extend the task-dependency graph. The new tasks start independent;
-// wire them with AddDep.
-func (j *Job) Grow(n int) []TaskID {
-	start := len(j.Tasks)
-	ids := make([]TaskID, 0, n)
-	for i := 0; i < n; i++ {
-		id := TaskID(start + i)
-		j.Tasks = append(j.Tasks, &Task{ID: id, Job: j.ID, Preferred: -1})
-		j.children = append(j.children, nil)
-		j.parents = append(j.parents, nil)
-		ids = append(ids, id)
-	}
-	j.invalidate()
-	return ids
-}
-
 // NumEdges returns the number of dependency edges.
 func (j *Job) NumEdges() int { return j.numEdges }
 

@@ -8,15 +8,10 @@ import (
 	"strings"
 )
 
-// Bench report schemas. v2 adds per-cell phase breakdowns
-// (CellTime.Phases); every other field is unchanged, so v1 readers keep
-// working on v2 reports by ignoring the unknown field.
-const (
-	// BenchSchemaV1 is the original per-cell wall-time-only schema.
-	BenchSchemaV1 = "dsp-bench-sweep/v1"
-	// BenchSchemaV2 carries per-cell phase breakdowns.
-	BenchSchemaV2 = "dsp-bench-sweep/v2"
-)
+// BenchSchemaV2 is the bench report schema: per-cell wall times with
+// per-cell phase breakdowns (CellTime.Phases). v1 reports, which carried
+// wall times only, are no longer read.
+const BenchSchemaV2 = "dsp-bench-sweep/v2"
 
 // BenchReport is the machine-readable sweep benchmark dspbench writes
 // with -bench-json and diffs with -compare. TotalWallMS sums the
@@ -31,18 +26,6 @@ type BenchReport struct {
 	Seed        int64       `json:"seed"`
 	Sweeps      []SweepStat `json:"sweeps"`
 	TotalWallMS float64     `json:"total_wall_ms"`
-}
-
-// StripToV1 downgrades the report in place to the v1 schema: phase
-// breakdowns are dropped and the schema field rewritten. For consumers
-// pinned to the old format (-bench-schema v1).
-func (r *BenchReport) StripToV1() {
-	r.Schema = BenchSchemaV1
-	for si := range r.Sweeps {
-		for ci := range r.Sweeps[si].CellTimes {
-			r.Sweeps[si].CellTimes[ci].Phases = nil
-		}
-	}
 }
 
 // Marshal serializes the report and validates that the bytes round-trip
@@ -65,16 +48,13 @@ func (r *BenchReport) Marshal() ([]byte, error) {
 }
 
 // ReadBenchReport loads and validates a report written by -bench-json.
-// Both schema versions are accepted (v1 simply carries no phases).
 func ReadBenchReport(data []byte) (*BenchReport, error) {
 	var r BenchReport
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("bench report: %w", err)
 	}
-	switch r.Schema {
-	case BenchSchemaV1, BenchSchemaV2:
-	default:
-		return nil, fmt.Errorf("bench report: unknown schema %q (want %s or %s)", r.Schema, BenchSchemaV1, BenchSchemaV2)
+	if r.Schema != BenchSchemaV2 {
+		return nil, fmt.Errorf("bench report: unknown schema %q (want %s)", r.Schema, BenchSchemaV2)
 	}
 	return &r, nil
 }
@@ -117,7 +97,7 @@ type CompareResult struct {
 	TotalRegressed bool
 	Phases         []PhaseDelta
 	// PhaseDataMissing notes that at least one report carries no phase
-	// breakdowns (a v1 report), so only totals were compared.
+	// breakdowns, so only totals were compared.
 	PhaseDataMissing bool
 }
 

@@ -52,31 +52,13 @@ func TestBenchReportRoundTrip(t *testing.T) {
 }
 
 func TestReadBenchReportRejectsUnknownSchema(t *testing.T) {
-	if _, err := ReadBenchReport([]byte(`{"schema":"dsp-bench-sweep/v9"}`)); err == nil {
-		t.Fatal("unknown schema accepted")
+	for _, schema := range []string{"dsp-bench-sweep/v1", "dsp-bench-sweep/v9"} {
+		if _, err := ReadBenchReport([]byte(`{"schema":"` + schema + `"}`)); err == nil {
+			t.Fatalf("schema %s accepted", schema)
+		}
 	}
 	if _, err := ReadBenchReport([]byte(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
-	}
-}
-
-func TestStripToV1(t *testing.T) {
-	r := sampleReport()
-	r.StripToV1()
-	if r.Schema != BenchSchemaV1 {
-		t.Errorf("schema = %q", r.Schema)
-	}
-	for _, sw := range r.Sweeps {
-		for _, ct := range sw.CellTimes {
-			if ct.Phases != nil {
-				t.Errorf("cell %s still carries phases", ct.Label)
-			}
-		}
-	}
-	// A stripped report must still marshal (round-trip validation holds
-	// for v1 too).
-	if _, err := r.Marshal(); err != nil {
-		t.Fatalf("v1 Marshal: %v", err)
 	}
 }
 
@@ -134,16 +116,22 @@ func TestCompareNoiseFloorSuppressesTinyPhases(t *testing.T) {
 	}
 }
 
+// TestCompareV1ReportsTotalsOnly compares against a baseline whose cells
+// carry no phase breakdowns, as the retired v1 reports did.
 func TestCompareV1ReportsTotalsOnly(t *testing.T) {
 	old := sampleReport()
-	old.StripToV1()
+	for si := range old.Sweeps {
+		for ci := range old.Sweeps[si].CellTimes {
+			old.Sweeps[si].CellTimes[ci].Phases = nil
+		}
+	}
 	cur := sampleReport()
 	res, err := CompareBench(old, cur, DefaultCompareThresholds())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.PhaseDataMissing {
-		t.Errorf("v1 baseline compare should note missing phase data")
+		t.Errorf("phase-less baseline compare should note missing phase data")
 	}
 	if res.Regressed() {
 		t.Errorf("equal totals regressed")
@@ -154,7 +142,7 @@ func TestCompareV1ReportsTotalsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Regressed() {
-		t.Errorf("doubled total not flagged on v1 compare")
+		t.Errorf("doubled total not flagged on phase-less compare")
 	}
 }
 

@@ -3,14 +3,11 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"io"
 	"math"
 	"strings"
 	"testing"
 
-	"dsp/internal/cluster"
 	"dsp/internal/sim"
-	"dsp/internal/units"
 )
 
 // tinyOptions keeps the test sweep fast while exercising the full
@@ -278,14 +275,15 @@ func TestFairnessTable(t *testing.T) {
 // markerObserver records the run labels the sweep announces and counts
 // the events it receives, proving every cell's simulation is observed.
 type markerObserver struct {
-	sim.NopObserver
 	labels []string
 	starts int
 }
 
 func (m *markerObserver) BeginRun(label string) { m.labels = append(m.labels, label) }
-func (m *markerObserver) TaskStarted(units.Time, *sim.TaskState, cluster.NodeID) {
-	m.starts++
+func (m *markerObserver) Observe(ev sim.Event) {
+	if ev.Kind == sim.TaskStarted {
+		m.starts++
+	}
 }
 
 func TestSweepObserverThreading(t *testing.T) {
@@ -306,7 +304,7 @@ func TestSweepObserverThreading(t *testing.T) {
 		t.Error("observer attached to sweep saw no task events")
 	}
 	// An observer without BeginRun still works (plain sim.Observer).
-	o.Observer = &sim.LogObserver{W: io.Discard, Quiet: true}
+	o.Observer = sim.Observers{}
 	if _, err := Fig5(Real, o); err != nil {
 		t.Fatal(err)
 	}

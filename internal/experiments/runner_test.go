@@ -217,9 +217,10 @@ func TestSweepMergesAggregateProf(t *testing.T) {
 
 // phaseCollector is a test observer that records RecordPhases calls.
 type phaseCollector struct {
-	sim.NopObserver
 	labels []string
 }
+
+func (c *phaseCollector) Observe(sim.Event) {}
 
 func (c *phaseCollector) RecordPhases(label string, phases []prof.PhaseBreakdown) {
 	c.labels = append(c.labels, label)

@@ -23,7 +23,6 @@ import (
 // the full latency attribution from the JSONL alone. Fields are printed
 // in a fixed order so output is byte-stable for a given run.
 type AuditWriter struct {
-	sim.NopObserver
 	w   *bufio.Writer
 	cw  *countingWriter
 	rec *attrib.Recorder
@@ -88,36 +87,99 @@ func (a *AuditWriter) BeginRun(label string) {
 	fmt.Fprintf(a.w, "{\"ev\":\"run\",\"label\":%s}\n", jstr(label))
 }
 
-// PreemptionConsidered implements sim.Observer.
-func (a *AuditWriter) PreemptionConsidered(now units.Time, d sim.PreemptionDecision) {
-	verdict := d.Verdict.String()
-	a.Verdicts[verdict]++
-	fmt.Fprintf(a.w,
-		"{\"t\":%d,\"ev\":\"preempt-considered\",\"node\":%d,\"candidate\":%q,\"victim\":%q,"+
-			"\"candidate_pr\":%g,\"victim_pr\":%g,\"gain\":%g,\"overhead\":%g,\"urgent\":%t,\"verdict\":%q}\n",
-		int64(now), int(d.Node), d.Candidate.Key().String(), d.Victim.Key().String(),
-		d.CandidatePriority, d.VictimPriority, d.Gain, d.Overhead, d.Urgent, verdict)
-}
-
-// TaskPreempted implements sim.Observer.
-func (a *AuditWriter) TaskPreempted(now units.Time, victim, starter *sim.TaskState, node cluster.NodeID) {
-	skey := ""
-	if starter != nil {
-		skey = starter.Key().String()
+// Observe implements sim.Observer: one line per decision-level event.
+// RecoveryStarted and Replayed are deliberately NOT audited: they only
+// happen on resumed processes, and auditing them would make a recovered
+// run's log differ from the uninterrupted baseline.
+func (a *AuditWriter) Observe(ev sim.Event) {
+	now := int64(ev.At)
+	switch ev.Kind {
+	case sim.PreemptionConsidered:
+		d := ev.Decision
+		verdict := d.Verdict.String()
+		a.Verdicts[verdict]++
+		fmt.Fprintf(a.w,
+			"{\"t\":%d,\"ev\":\"preempt-considered\",\"node\":%d,\"candidate\":%q,\"victim\":%q,"+
+				"\"candidate_pr\":%g,\"victim_pr\":%g,\"gain\":%g,\"overhead\":%g,\"urgent\":%t,\"verdict\":%q}\n",
+			now, int(d.Node), d.Candidate.Key().String(), d.Victim.Key().String(),
+			d.CandidatePriority, d.VictimPriority, d.Gain, d.Overhead, d.Urgent, verdict)
+	case sim.TaskPreempted:
+		skey := ""
+		if ev.Starter != nil {
+			skey = ev.Starter.Key().String()
+		}
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"preempted\",\"node\":%d,\"victim\":%q,\"starter\":%q}\n",
+			now, int(ev.Node), ev.Task.Key().String(), skey)
+	case sim.DisorderDetected:
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"disorder\",\"node\":%d,\"starter\":%q,\"victim\":%q}\n",
+			now, int(ev.Node), ev.Starter.Key().String(), ev.Task.Key().String())
+	case sim.EpochEnded:
+		a.writeEpoch(now, ev.N, ev.View)
+	case sim.NodeFailed:
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"node-failed\",\"node\":%d}\n", now, int(ev.Node))
+	case sim.NodeRecovered:
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"node-recovered\",\"node\":%d}\n", now, int(ev.Node))
+	case sim.TaskEvicted:
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"evicted\",\"node\":%d,\"task\":%q}\n",
+			now, int(ev.Node), ev.Task.Key().String())
+	case sim.TaskRequeued:
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"requeued\",\"node\":%d,\"task\":%q,\"reason\":%q}\n",
+			now, int(ev.Node), ev.Task.Key().String(), ev.Requeue.String())
+	case sim.TaskRetried:
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"retried\",\"node\":%d,\"task\":%q,\"attempt\":%d,\"reason\":%q}\n",
+			now, int(ev.Node), ev.Task.Key().String(), ev.N, ev.Retry.String())
+	case sim.TaskFailedTerminally:
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"failed\",\"node\":%d,\"task\":%q}\n",
+			now, int(ev.Node), ev.Task.Key().String())
+	case sim.SpeculationLaunched:
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"spec-launched\",\"task\":%q,\"primary\":%d,\"backup\":%d}\n",
+			now, ev.Task.Key().String(), int(ev.Node), int(ev.Peer))
+	case sim.SpeculationWon:
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"spec-won\",\"task\":%q,\"winner\":%d,\"loser\":%d}\n",
+			now, ev.Task.Key().String(), int(ev.Node), int(ev.Peer))
+	case sim.SpeculationCancelled:
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"spec-cancelled\",\"task\":%q,\"backup\":%d}\n",
+			now, ev.Task.Key().String(), int(ev.Node))
+	case sim.NodeBlacklisted:
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"blacklisted\",\"node\":%d}\n", now, int(ev.Node))
+	case sim.SolverDegraded:
+		d := ev.Degradation
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"solver-degraded\",\"from\":%q,\"to\":%q,\"reason\":%s,\"pending_tasks\":%d,\"bnb_nodes\":%d}\n",
+			now, d.From.String(), d.To.String(), jstr(d.Reason), d.PendingTasks, d.Nodes)
+	case sim.JobShed:
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"job-shed\",\"job\":%d,\"reason\":%q}\n",
+			now, int(ev.Job.Dag.ID), ev.Shed.String())
+	case sim.InvariantViolated:
+		v := ev.Violation
+		tkey := ""
+		if v.Task != nil {
+			tkey = v.Task.Key().String()
+		}
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"invariant-violated\",\"check\":%q,\"node\":%d,\"task\":%q,\"detail\":%s}\n",
+			now, v.Check, int(v.Node), tkey, jstr(v.Detail))
+	case sim.TaskSpanClosed:
+		// The raw material for offline latency attribution.
+		sp := ev.Span
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"span\",\"task\":%q,\"kind\":%q,\"cause\":%q,\"node\":%d,\"start\":%d,\"end\":%d}\n",
+			int64(sp.End), sp.Task.Key().String(), sp.Kind.String(), sp.Cause.String(),
+			int(sp.Node), int64(sp.Start), int64(sp.End))
+		a.rec.Observe(ev)
+	case sim.JobCompleted:
+		// The internal recorder attributes the job and writeJobBlame (its
+		// OnJob callback) emits the line.
+		a.rec.Observe(ev)
+	case sim.SnapshotTaken:
+		// The engine emits the event before the durability sink reads
+		// Offset, so the line lands inside the snapshot's audit prefix and
+		// a resumed run's audit stays byte-identical to an uninterrupted
+		// one.
+		fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"snapshot\",\"period\":%d}\n", now, ev.N)
 	}
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"preempted\",\"node\":%d,\"victim\":%q,\"starter\":%q}\n",
-		int64(now), int(node), victim.Key().String(), skey)
 }
 
-// DisorderDetected implements sim.Observer.
-func (a *AuditWriter) DisorderDetected(now units.Time, starter, victim *sim.TaskState, node cluster.NodeID) {
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"disorder\",\"node\":%d,\"starter\":%q,\"victim\":%q}\n",
-		int64(now), int(node), starter.Key().String(), victim.Key().String())
-}
-
-// EpochEnded implements sim.Observer: one summary line per epoch with
-// cluster-wide gauges sampled after the epoch's actions were applied.
-func (a *AuditWriter) EpochEnded(now units.Time, epoch int, v *sim.View) {
+// writeEpoch writes one summary line per epoch with cluster-wide gauges
+// sampled after the epoch's actions were applied.
+func (a *AuditWriter) writeEpoch(now int64, epoch int, v *sim.View) {
 	var queued, running, busy, slots int
 	c := v.Cluster()
 	for k := 0; k < c.Len(); k++ {
@@ -129,112 +191,7 @@ func (a *AuditWriter) EpochEnded(now units.Time, epoch int, v *sim.View) {
 		slots += c.Nodes[k].Slots
 	}
 	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"epoch\",\"epoch\":%d,\"queued\":%d,\"running\":%d,\"busy_slots\":%d,\"total_slots\":%d}\n",
-		int64(now), epoch, queued, running, busy, slots)
-}
-
-// NodeFailed implements sim.Observer.
-func (a *AuditWriter) NodeFailed(now units.Time, node cluster.NodeID) {
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"node-failed\",\"node\":%d}\n", int64(now), int(node))
-}
-
-// NodeRecovered implements sim.Observer.
-func (a *AuditWriter) NodeRecovered(now units.Time, node cluster.NodeID) {
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"node-recovered\",\"node\":%d}\n", int64(now), int(node))
-}
-
-// TaskEvicted implements sim.Observer.
-func (a *AuditWriter) TaskEvicted(now units.Time, t *sim.TaskState, node cluster.NodeID) {
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"evicted\",\"node\":%d,\"task\":%q}\n",
-		int64(now), int(node), t.Key().String())
-}
-
-// TaskRequeued implements sim.Observer.
-func (a *AuditWriter) TaskRequeued(now units.Time, t *sim.TaskState, node cluster.NodeID, reason sim.RequeueReason) {
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"requeued\",\"node\":%d,\"task\":%q,\"reason\":%q}\n",
-		int64(now), int(node), t.Key().String(), reason.String())
-}
-
-// TaskRetried implements sim.Observer.
-func (a *AuditWriter) TaskRetried(now units.Time, t *sim.TaskState, node cluster.NodeID, attempt int, reason sim.RetryReason) {
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"retried\",\"node\":%d,\"task\":%q,\"attempt\":%d,\"reason\":%q}\n",
-		int64(now), int(node), t.Key().String(), attempt, reason.String())
-}
-
-// TaskFailedTerminally implements sim.Observer.
-func (a *AuditWriter) TaskFailedTerminally(now units.Time, t *sim.TaskState, node cluster.NodeID) {
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"failed\",\"node\":%d,\"task\":%q}\n",
-		int64(now), int(node), t.Key().String())
-}
-
-// SpeculationLaunched implements sim.Observer.
-func (a *AuditWriter) SpeculationLaunched(now units.Time, t *sim.TaskState, primary, backup cluster.NodeID) {
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"spec-launched\",\"task\":%q,\"primary\":%d,\"backup\":%d}\n",
-		int64(now), t.Key().String(), int(primary), int(backup))
-}
-
-// SpeculationWon implements sim.Observer.
-func (a *AuditWriter) SpeculationWon(now units.Time, t *sim.TaskState, winner, loser cluster.NodeID) {
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"spec-won\",\"task\":%q,\"winner\":%d,\"loser\":%d}\n",
-		int64(now), t.Key().String(), int(winner), int(loser))
-}
-
-// SpeculationCancelled implements sim.Observer.
-func (a *AuditWriter) SpeculationCancelled(now units.Time, t *sim.TaskState, backup cluster.NodeID) {
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"spec-cancelled\",\"task\":%q,\"backup\":%d}\n",
-		int64(now), t.Key().String(), int(backup))
-}
-
-// NodeBlacklisted implements sim.Observer.
-func (a *AuditWriter) NodeBlacklisted(now units.Time, node cluster.NodeID) {
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"blacklisted\",\"node\":%d}\n", int64(now), int(node))
-}
-
-// SolverDegraded implements sim.Observer.
-func (a *AuditWriter) SolverDegraded(now units.Time, d sim.SolverDegradation) {
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"solver-degraded\",\"from\":%q,\"to\":%q,\"reason\":%s,\"pending_tasks\":%d,\"bnb_nodes\":%d}\n",
-		int64(now), d.From.String(), d.To.String(), jstr(d.Reason), d.PendingTasks, d.Nodes)
-}
-
-// JobShed implements sim.Observer.
-func (a *AuditWriter) JobShed(now units.Time, j *sim.JobState, reason sim.ShedReason) {
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"job-shed\",\"job\":%d,\"reason\":%q}\n",
-		int64(now), int(j.Dag.ID), reason.String())
-}
-
-// InvariantViolated implements sim.Observer.
-func (a *AuditWriter) InvariantViolated(now units.Time, v sim.InvariantViolation) {
-	tkey := ""
-	if v.Task != nil {
-		tkey = v.Task.Key().String()
-	}
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"invariant-violated\",\"check\":%q,\"node\":%d,\"task\":%q,\"detail\":%s}\n",
-		int64(now), v.Check, int(v.Node), tkey, jstr(v.Detail))
-}
-
-// TaskSpanClosed implements sim.Observer: one line per closed timeline
-// span, the raw material for offline latency attribution.
-func (a *AuditWriter) TaskSpanClosed(s sim.TaskSpan) {
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"span\",\"task\":%q,\"kind\":%q,\"cause\":%q,\"node\":%d,\"start\":%d,\"end\":%d}\n",
-		int64(s.End), s.Task.Key().String(), s.Kind.String(), s.Cause.String(),
-		int(s.Node), int64(s.Start), int64(s.End))
-	a.rec.TaskSpanClosed(s)
-}
-
-// JobCompleted implements sim.Observer: the internal recorder attributes
-// the job and writeJobBlame (its OnJob callback) emits the line.
-func (a *AuditWriter) JobCompleted(now units.Time, j *sim.JobState) {
-	a.rec.JobCompleted(now, j)
-}
-
-// SnapshotTaken implements sim.Observer: one line per crash-recovery
-// snapshot. The engine emits the event before the durability sink reads
-// Offset, so the line lands inside the snapshot's audit prefix and a
-// resumed run's audit stays byte-identical to an uninterrupted one.
-// RecoveryStarted and Replayed are deliberately NOT audited: they only
-// happen on resumed processes, and auditing them would make a recovered
-// run's log differ from the uninterrupted baseline.
-func (a *AuditWriter) SnapshotTaken(now units.Time, period int) {
-	fmt.Fprintf(a.w, "{\"t\":%d,\"ev\":\"snapshot\",\"period\":%d}\n", int64(now), period)
+		now, epoch, queued, running, busy, slots)
 }
 
 // spanKindByName inverts sim.SpanKind.String for audit rehydration.
@@ -303,14 +260,14 @@ func (a *AuditWriter) Rehydrate(r io.Reader, resolve func(job dag.JobID, task da
 		if ts == nil {
 			continue
 		}
-		a.rec.TaskSpanClosed(sim.TaskSpan{
+		a.rec.Observe(sim.Event{Kind: sim.TaskSpanClosed, At: units.Time(line.End), Span: sim.TaskSpan{
 			Task:  ts,
 			Kind:  kind,
 			Cause: cause,
 			Node:  cluster.NodeID(line.Node),
 			Start: units.Time(line.Start),
 			End:   units.Time(line.End),
-		})
+		}})
 	}
 	return sc.Err()
 }

@@ -49,8 +49,6 @@ type openSpan struct {
 // node faults and epoch ticks appear as instant events. Multi-run
 // sweeps lay runs out back-to-back on the same timeline via BeginRun.
 type TraceBuilder struct {
-	sim.NopObserver
-
 	events []traceEvent
 	open   map[dag.Key]openSpan
 	// busy tracks per-node lane occupancy: index = lane, true = in use.
@@ -150,14 +148,6 @@ func (tb *TraceBuilder) release(node cluster.NodeID, lane int) {
 	}
 }
 
-// TaskStarted implements sim.Observer.
-func (tb *TraceBuilder) TaskStarted(now units.Time, t *sim.TaskState, node cluster.NodeID) {
-	if _, ok := tb.lanes[int(node)]; !ok {
-		tb.lanes[int(node)] = 0 // materialize the pid for metadata
-	}
-	tb.open[t.Key()] = openSpan{node: node, lane: tb.laneFor(node), start: now}
-}
-
 // closeSpan emits the complete ("X") span for a task leaving its slot.
 func (tb *TraceBuilder) closeSpan(now units.Time, key dag.Key, outcome string) {
 	sp, ok := tb.open[key]
@@ -174,197 +164,102 @@ func (tb *TraceBuilder) closeSpan(now units.Time, key dag.Key, outcome string) {
 	})
 }
 
-// TaskCompleted implements sim.Observer.
-func (tb *TraceBuilder) TaskCompleted(now units.Time, t *sim.TaskState, _ cluster.NodeID) {
-	tb.closeSpan(now, t.Key(), "completed")
+// laneOf returns the slot lane of t's open span (0 when none is open).
+func (tb *TraceBuilder) laneOf(t *sim.TaskState) int {
+	return tb.open[t.Key()].lane
 }
 
-// TaskPreempted implements sim.Observer.
-func (tb *TraceBuilder) TaskPreempted(now units.Time, victim, starter *sim.TaskState, node cluster.NodeID) {
-	sp, ok := tb.open[victim.Key()]
-	lane := 0
-	if ok {
-		lane = sp.lane
-	}
-	tb.closeSpan(now, victim.Key(), "preempted")
-	args := map[string]any{"victim": victim.Key().String()}
-	if starter != nil {
-		args["starter"] = starter.Key().String()
-	}
+// instant emits an instant event at simulated time now; scope is the
+// Chrome trace "s" field ("g" global, "p" process, "t" thread).
+func (tb *TraceBuilder) instant(now units.Time, name, cat string, pid, tid int, scope string, args map[string]any) {
 	tb.emit(traceEvent{
-		Name: "preempt", Cat: "preempt", Ph: "i",
-		TS: int64(now + tb.offset), PID: int(node), TID: lane, S: "t",
+		Name: name, Cat: cat, Ph: "i",
+		TS: int64(now + tb.offset), PID: pid, TID: tid, S: scope,
 		Args: args,
 	})
 }
 
-// TaskEvicted implements sim.Observer: a crash eviction ends any open
-// span the same instant the node goes down.
-func (tb *TraceBuilder) TaskEvicted(now units.Time, t *sim.TaskState, _ cluster.NodeID) {
-	tb.closeSpan(now, t.Key(), "evicted")
-}
-
-// DisorderDetected implements sim.Observer.
-func (tb *TraceBuilder) DisorderDetected(now units.Time, starter, victim *sim.TaskState, node cluster.NodeID) {
-	lane := 0
-	if sp, ok := tb.open[victim.Key()]; ok {
-		lane = sp.lane
+// Observe implements sim.Observer. Task occupancies become spans; the
+// other events become instants on the node they concern or, for
+// cluster-wide ones, on the synthetic engine process.
+func (tb *TraceBuilder) Observe(ev sim.Event) {
+	now, node := ev.At, int(ev.Node)
+	switch ev.Kind {
+	case sim.TaskStarted:
+		if _, ok := tb.lanes[node]; !ok {
+			tb.lanes[node] = 0 // materialize the pid for metadata
+		}
+		tb.open[ev.Task.Key()] = openSpan{node: ev.Node, lane: tb.laneFor(ev.Node), start: now}
+	case sim.TaskCompleted:
+		tb.closeSpan(now, ev.Task.Key(), "completed")
+	case sim.TaskPreempted:
+		lane := tb.laneOf(ev.Task)
+		tb.closeSpan(now, ev.Task.Key(), "preempted")
+		args := map[string]any{"victim": ev.Task.Key().String()}
+		if ev.Starter != nil {
+			args["starter"] = ev.Starter.Key().String()
+		}
+		tb.instant(now, "preempt", "preempt", node, lane, "t", args)
+	case sim.TaskEvicted:
+		// A crash eviction ends any open span the instant the node goes
+		// down.
+		tb.closeSpan(now, ev.Task.Key(), "evicted")
+	case sim.DisorderDetected:
+		tb.instant(now, "disorder", "disorder", node, tb.laneOf(ev.Task), "t",
+			map[string]any{"starter": ev.Starter.Key().String(), "victim": ev.Task.Key().String()})
+	case sim.EpochStarted:
+		tb.instant(now, "epoch", "epoch", enginePID, 0, "g", map[string]any{"epoch": ev.N})
+	case sim.NodeFailed:
+		tb.instant(now, "node-failed", "fault", node, 0, "p", nil)
+	case sim.NodeRecovered:
+		tb.instant(now, "node-recovered", "fault", node, 0, "p", nil)
+	case sim.SnapshotTaken:
+		tb.instant(now, "snapshot", "durability", enginePID, 0, "g", map[string]any{"period": ev.N})
+	case sim.RecoveryStarted:
+		tb.instant(now, "recovery", "durability", enginePID, 0, "g", map[string]any{"period": ev.N})
+	case sim.Replayed:
+		tb.instant(now, "replayed", "durability", enginePID, 0, "g", map[string]any{"records": ev.N})
+	case sim.TaskRetried:
+		// A transient fault ends the attempt's span (a crash eviction
+		// already closed it via TaskEvicted).
+		tb.closeSpan(now, ev.Task.Key(), "retried")
+		tb.instant(now, "retry", "resilience", node, 0, "t",
+			map[string]any{"task": ev.Task.Key().String(), "attempt": ev.N, "reason": ev.Retry.String()})
+	case sim.TaskFailedTerminally:
+		tb.closeSpan(now, ev.Task.Key(), "failed")
+		tb.instant(now, "terminal-failure", "resilience", node, 0, "t",
+			map[string]any{"task": ev.Task.Key().String()})
+	case sim.SpeculationLaunched:
+		// Backup copies never fire TaskStarted (one open span per task
+		// key), so they appear as instants on the backup node rather than
+		// slot-lane spans.
+		tb.instant(now, "spec-launched", "speculation", int(ev.Peer), 0, "t",
+			map[string]any{"task": ev.Task.Key().String(), "primary": node})
+	case sim.SpeculationWon:
+		tb.closeSpan(now, ev.Task.Key(), "lost-to-backup")
+		tb.instant(now, "spec-won", "speculation", node, 0, "t",
+			map[string]any{"task": ev.Task.Key().String(), "loser": int(ev.Peer)})
+	case sim.SpeculationCancelled:
+		tb.instant(now, "spec-cancelled", "speculation", node, 0, "t",
+			map[string]any{"task": ev.Task.Key().String()})
+	case sim.NodeBlacklisted:
+		tb.instant(now, "blacklisted", "fault", node, 0, "p", nil)
+	case sim.SolverDegraded:
+		d := ev.Degradation
+		tb.instant(now, "solver-degraded", "overload", enginePID, 0, "g",
+			map[string]any{"from": d.From.String(), "to": d.To.String(),
+				"reason": d.Reason, "pending_tasks": d.PendingTasks})
+	case sim.JobShed:
+		tb.instant(now, "job-shed", "overload", enginePID, 0, "g",
+			map[string]any{"job": int(ev.Job.Dag.ID), "reason": ev.Shed.String()})
+	case sim.InvariantViolated:
+		v := ev.Violation
+		args := map[string]any{"check": v.Check, "detail": v.Detail}
+		if v.Task != nil {
+			args["task"] = v.Task.Key().String()
+		}
+		tb.instant(now, "invariant-violated", "audit", int(v.Node), 0, "p", args)
 	}
-	tb.emit(traceEvent{
-		Name: "disorder", Cat: "disorder", Ph: "i",
-		TS: int64(now + tb.offset), PID: int(node), TID: lane, S: "t",
-		Args: map[string]any{"starter": starter.Key().String(), "victim": victim.Key().String()},
-	})
-}
-
-// EpochStarted implements sim.Observer: a global marker per preemption
-// epoch.
-func (tb *TraceBuilder) EpochStarted(now units.Time, epoch int) {
-	tb.emit(traceEvent{
-		Name: "epoch", Cat: "epoch", Ph: "i",
-		TS: int64(now + tb.offset), PID: enginePID, TID: 0, S: "g",
-		Args: map[string]any{"epoch": epoch},
-	})
-}
-
-// NodeFailed implements sim.Observer.
-func (tb *TraceBuilder) NodeFailed(now units.Time, node cluster.NodeID) {
-	tb.emit(traceEvent{
-		Name: "node-failed", Cat: "fault", Ph: "i",
-		TS: int64(now + tb.offset), PID: int(node), TID: 0, S: "p",
-	})
-}
-
-// NodeRecovered implements sim.Observer.
-func (tb *TraceBuilder) NodeRecovered(now units.Time, node cluster.NodeID) {
-	tb.emit(traceEvent{
-		Name: "node-recovered", Cat: "fault", Ph: "i",
-		TS: int64(now + tb.offset), PID: int(node), TID: 0, S: "p",
-	})
-}
-
-// SnapshotTaken implements sim.Observer: a global marker per periodic
-// crash-recovery snapshot.
-func (tb *TraceBuilder) SnapshotTaken(now units.Time, period int) {
-	tb.emit(traceEvent{
-		Name: "snapshot", Cat: "durability", Ph: "i",
-		TS: int64(now + tb.offset), PID: enginePID, TID: 0, S: "g",
-		Args: map[string]any{"period": period},
-	})
-}
-
-// RecoveryStarted implements sim.Observer: a global marker where a
-// resumed run's roll-forward began.
-func (tb *TraceBuilder) RecoveryStarted(now units.Time, period int) {
-	tb.emit(traceEvent{
-		Name: "recovery", Cat: "durability", Ph: "i",
-		TS: int64(now + tb.offset), PID: enginePID, TID: 0, S: "g",
-		Args: map[string]any{"period": period},
-	})
-}
-
-// Replayed implements sim.Observer: a global marker where a resumed run
-// finished verifying its write-ahead log and reached the crash point.
-func (tb *TraceBuilder) Replayed(now units.Time, records int) {
-	tb.emit(traceEvent{
-		Name: "replayed", Cat: "durability", Ph: "i",
-		TS: int64(now + tb.offset), PID: enginePID, TID: 0, S: "g",
-		Args: map[string]any{"records": records},
-	})
-}
-
-// TaskRetried implements sim.Observer: a transient fault ends the
-// attempt's span (a crash eviction already closed it via TaskEvicted).
-func (tb *TraceBuilder) TaskRetried(now units.Time, t *sim.TaskState, node cluster.NodeID, attempt int, reason sim.RetryReason) {
-	tb.closeSpan(now, t.Key(), "retried")
-	tb.emit(traceEvent{
-		Name: "retry", Cat: "resilience", Ph: "i",
-		TS: int64(now + tb.offset), PID: int(node), TID: 0, S: "t",
-		Args: map[string]any{"task": t.Key().String(), "attempt": attempt, "reason": reason.String()},
-	})
-}
-
-// TaskFailedTerminally implements sim.Observer.
-func (tb *TraceBuilder) TaskFailedTerminally(now units.Time, t *sim.TaskState, node cluster.NodeID) {
-	tb.closeSpan(now, t.Key(), "failed")
-	tb.emit(traceEvent{
-		Name: "terminal-failure", Cat: "resilience", Ph: "i",
-		TS: int64(now + tb.offset), PID: int(node), TID: 0, S: "t",
-		Args: map[string]any{"task": t.Key().String()},
-	})
-}
-
-// SpeculationLaunched implements sim.Observer. Backup copies never fire
-// TaskStarted (one open span per task key), so they appear as instants
-// on the backup node rather than slot-lane spans.
-func (tb *TraceBuilder) SpeculationLaunched(now units.Time, t *sim.TaskState, primary, backup cluster.NodeID) {
-	tb.emit(traceEvent{
-		Name: "spec-launched", Cat: "speculation", Ph: "i",
-		TS: int64(now + tb.offset), PID: int(backup), TID: 0, S: "t",
-		Args: map[string]any{"task": t.Key().String(), "primary": int(primary)},
-	})
-}
-
-// SpeculationWon implements sim.Observer. The primary's span (if still
-// open) is closed by the TaskCompleted the win triggers; here we only
-// mark the instant on the winning node.
-func (tb *TraceBuilder) SpeculationWon(now units.Time, t *sim.TaskState, winner, loser cluster.NodeID) {
-	tb.closeSpan(now, t.Key(), "lost-to-backup")
-	tb.emit(traceEvent{
-		Name: "spec-won", Cat: "speculation", Ph: "i",
-		TS: int64(now + tb.offset), PID: int(winner), TID: 0, S: "t",
-		Args: map[string]any{"task": t.Key().String(), "loser": int(loser)},
-	})
-}
-
-// SpeculationCancelled implements sim.Observer.
-func (tb *TraceBuilder) SpeculationCancelled(now units.Time, t *sim.TaskState, backup cluster.NodeID) {
-	tb.emit(traceEvent{
-		Name: "spec-cancelled", Cat: "speculation", Ph: "i",
-		TS: int64(now + tb.offset), PID: int(backup), TID: 0, S: "t",
-		Args: map[string]any{"task": t.Key().String()},
-	})
-}
-
-// NodeBlacklisted implements sim.Observer.
-func (tb *TraceBuilder) NodeBlacklisted(now units.Time, node cluster.NodeID) {
-	tb.emit(traceEvent{
-		Name: "blacklisted", Cat: "fault", Ph: "i",
-		TS: int64(now + tb.offset), PID: int(node), TID: 0, S: "p",
-	})
-}
-
-// SolverDegraded implements sim.Observer: a global marker per downgrade
-// along the scheduler's degradation ladder.
-func (tb *TraceBuilder) SolverDegraded(now units.Time, d sim.SolverDegradation) {
-	tb.emit(traceEvent{
-		Name: "solver-degraded", Cat: "overload", Ph: "i",
-		TS: int64(now + tb.offset), PID: enginePID, TID: 0, S: "g",
-		Args: map[string]any{"from": d.From.String(), "to": d.To.String(),
-			"reason": d.Reason, "pending_tasks": d.PendingTasks},
-	})
-}
-
-// JobShed implements sim.Observer.
-func (tb *TraceBuilder) JobShed(now units.Time, j *sim.JobState, reason sim.ShedReason) {
-	tb.emit(traceEvent{
-		Name: "job-shed", Cat: "overload", Ph: "i",
-		TS: int64(now + tb.offset), PID: enginePID, TID: 0, S: "g",
-		Args: map[string]any{"job": int(j.Dag.ID), "reason": reason.String()},
-	})
-}
-
-// InvariantViolated implements sim.Observer.
-func (tb *TraceBuilder) InvariantViolated(now units.Time, v sim.InvariantViolation) {
-	args := map[string]any{"check": v.Check, "detail": v.Detail}
-	if v.Task != nil {
-		args["task"] = v.Task.Key().String()
-	}
-	tb.emit(traceEvent{
-		Name: "invariant-violated", Cat: "audit", Ph: "i",
-		TS: int64(now + tb.offset), PID: int(v.Node), TID: 0, S: "p",
-		Args: args,
-	})
 }
 
 // Export renders the trace as a JSON object with one event per line

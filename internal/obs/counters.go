@@ -5,9 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"dsp/internal/cluster"
 	"dsp/internal/sim"
-	"dsp/internal/units"
 )
 
 // Counters is an always-cheap event tally: one atomic per event class,
@@ -15,8 +13,6 @@ import (
 // simulations (the experiment harness may fan out runs; `go test -race`
 // covers this in CI).
 type Counters struct {
-	sim.NopObserver
-
 	TaskStarts      atomic.Int64
 	TaskCompletions atomic.Int64
 	TaskPreemptions atomic.Int64
@@ -63,129 +59,66 @@ type Counters struct {
 // NewCounters returns a zeroed registry.
 func NewCounters() *Counters { return &Counters{} }
 
-// TaskStarted implements sim.Observer.
-func (c *Counters) TaskStarted(units.Time, *sim.TaskState, cluster.NodeID) {
-	c.TaskStarts.Add(1)
-}
-
-// TaskPreempted implements sim.Observer.
-func (c *Counters) TaskPreempted(units.Time, *sim.TaskState, *sim.TaskState, cluster.NodeID) {
-	c.TaskPreemptions.Add(1)
-}
-
-// TaskCompleted implements sim.Observer.
-func (c *Counters) TaskCompleted(units.Time, *sim.TaskState, cluster.NodeID) {
-	c.TaskCompletions.Add(1)
-}
-
-// JobCompleted implements sim.Observer.
-func (c *Counters) JobCompleted(units.Time, *sim.JobState) {
-	c.JobCompletions.Add(1)
-}
-
-// EpochStarted implements sim.Observer.
-func (c *Counters) EpochStarted(units.Time, int) {
-	c.Epochs.Add(1)
-}
-
-// PreemptionConsidered implements sim.Observer.
-func (c *Counters) PreemptionConsidered(_ units.Time, d sim.PreemptionDecision) {
-	c.Considered.Add(1)
-	switch d.Verdict {
-	case sim.VerdictAccepted:
-		c.Accepted.Add(1)
-	case sim.VerdictSuppressedByPP:
-		c.SuppressedByPP.Add(1)
-	case sim.VerdictUrgentOverride:
-		c.UrgentOverrides.Add(1)
-	case sim.VerdictDisorder:
-		c.Disorders.Add(1)
+// Observe implements sim.Observer.
+func (c *Counters) Observe(ev sim.Event) {
+	switch ev.Kind {
+	case sim.TaskStarted:
+		c.TaskStarts.Add(1)
+	case sim.TaskPreempted:
+		c.TaskPreemptions.Add(1)
+	case sim.TaskCompleted:
+		c.TaskCompletions.Add(1)
+	case sim.JobCompleted:
+		c.JobCompletions.Add(1)
+	case sim.EpochStarted:
+		c.Epochs.Add(1)
+	case sim.PreemptionConsidered:
+		c.Considered.Add(1)
+		switch ev.Decision.Verdict {
+		case sim.VerdictAccepted:
+			c.Accepted.Add(1)
+		case sim.VerdictSuppressedByPP:
+			c.SuppressedByPP.Add(1)
+		case sim.VerdictUrgentOverride:
+			c.UrgentOverrides.Add(1)
+		case sim.VerdictDisorder:
+			c.Disorders.Add(1)
+		}
+	case sim.NodeFailed:
+		c.NodeFailures.Add(1)
+	case sim.NodeRecovered:
+		c.NodeRecoveries.Add(1)
+	case sim.TaskEvicted:
+		c.Evictions.Add(1)
+	case sim.TaskRequeued:
+		c.Requeues.Add(1)
+	case sim.TaskRetried:
+		c.Retries.Add(1)
+	case sim.TaskFailedTerminally:
+		c.TerminalFailures.Add(1)
+	case sim.SpeculationLaunched:
+		c.SpecLaunches.Add(1)
+	case sim.SpeculationWon:
+		c.SpecWins.Add(1)
+	case sim.SpeculationCancelled:
+		c.SpecCancels.Add(1)
+	case sim.NodeBlacklisted:
+		c.Blacklistings.Add(1)
+	case sim.SolverDegraded:
+		c.SolverDegradations.Add(1)
+	case sim.JobShed:
+		c.JobSheds.Add(1)
+	case sim.JobCancelled:
+		c.JobCancellations.Add(1)
+	case sim.InvariantViolated:
+		c.InvariantViolations.Add(1)
+	case sim.SnapshotTaken:
+		c.Snapshots.Add(1)
+	case sim.RecoveryStarted:
+		c.Recoveries.Add(1)
+	case sim.Replayed:
+		c.Replays.Add(1)
 	}
-}
-
-// NodeFailed implements sim.Observer.
-func (c *Counters) NodeFailed(units.Time, cluster.NodeID) {
-	c.NodeFailures.Add(1)
-}
-
-// NodeRecovered implements sim.Observer.
-func (c *Counters) NodeRecovered(units.Time, cluster.NodeID) {
-	c.NodeRecoveries.Add(1)
-}
-
-// TaskEvicted implements sim.Observer.
-func (c *Counters) TaskEvicted(units.Time, *sim.TaskState, cluster.NodeID) {
-	c.Evictions.Add(1)
-}
-
-// TaskRequeued implements sim.Observer.
-func (c *Counters) TaskRequeued(units.Time, *sim.TaskState, cluster.NodeID, sim.RequeueReason) {
-	c.Requeues.Add(1)
-}
-
-// TaskRetried implements sim.Observer.
-func (c *Counters) TaskRetried(units.Time, *sim.TaskState, cluster.NodeID, int, sim.RetryReason) {
-	c.Retries.Add(1)
-}
-
-// TaskFailedTerminally implements sim.Observer.
-func (c *Counters) TaskFailedTerminally(units.Time, *sim.TaskState, cluster.NodeID) {
-	c.TerminalFailures.Add(1)
-}
-
-// SpeculationLaunched implements sim.Observer.
-func (c *Counters) SpeculationLaunched(units.Time, *sim.TaskState, cluster.NodeID, cluster.NodeID) {
-	c.SpecLaunches.Add(1)
-}
-
-// SpeculationWon implements sim.Observer.
-func (c *Counters) SpeculationWon(units.Time, *sim.TaskState, cluster.NodeID, cluster.NodeID) {
-	c.SpecWins.Add(1)
-}
-
-// SpeculationCancelled implements sim.Observer.
-func (c *Counters) SpeculationCancelled(units.Time, *sim.TaskState, cluster.NodeID) {
-	c.SpecCancels.Add(1)
-}
-
-// NodeBlacklisted implements sim.Observer.
-func (c *Counters) NodeBlacklisted(units.Time, cluster.NodeID) {
-	c.Blacklistings.Add(1)
-}
-
-// SolverDegraded implements sim.Observer.
-func (c *Counters) SolverDegraded(units.Time, sim.SolverDegradation) {
-	c.SolverDegradations.Add(1)
-}
-
-// JobShed implements sim.Observer.
-func (c *Counters) JobShed(units.Time, *sim.JobState, sim.ShedReason) {
-	c.JobSheds.Add(1)
-}
-
-// JobCancelled implements sim.Observer.
-func (c *Counters) JobCancelled(units.Time, *sim.JobState) {
-	c.JobCancellations.Add(1)
-}
-
-// InvariantViolated implements sim.Observer.
-func (c *Counters) InvariantViolated(units.Time, sim.InvariantViolation) {
-	c.InvariantViolations.Add(1)
-}
-
-// SnapshotTaken implements sim.Observer.
-func (c *Counters) SnapshotTaken(units.Time, int) {
-	c.Snapshots.Add(1)
-}
-
-// RecoveryStarted implements sim.Observer.
-func (c *Counters) RecoveryStarted(units.Time, int) {
-	c.Recoveries.Add(1)
-}
-
-// Replayed implements sim.Observer.
-func (c *Counters) Replayed(units.Time, int) {
-	c.Replays.Add(1)
 }
 
 // Counter is one named tally in a snapshot.

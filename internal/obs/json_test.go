@@ -131,12 +131,12 @@ func TestAuditEscaping(t *testing.T) {
 	var buf bytes.Buffer
 	aw := NewAuditWriter(&buf)
 	aw.BeginRun(nasty)
-	aw.SolverDegraded(units.Second, sim.SolverDegradation{
+	aw.Observe(sim.Event{Kind: sim.SolverDegraded, At: units.Second, Degradation: sim.SolverDegradation{
 		Reason: nasty, PendingTasks: 7,
-	})
-	aw.InvariantViolated(2*units.Second, sim.InvariantViolation{
+	}})
+	aw.Observe(sim.Event{Kind: sim.InvariantViolated, At: 2 * units.Second, Violation: sim.InvariantViolation{
 		Check: "slot-capacity", Node: -1, Detail: nasty,
-	})
+	}})
 	if err := aw.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,6 @@ const (
 // metrics.Table) or summarize with Summary (percentiles via
 // metrics.Percentile).
 type SeriesRecorder struct {
-	sim.NopObserver
 	// PerNode adds node<k>-run / node<k>-wait columns for every node.
 	// Off by default: 50 nodes means 100 extra columns.
 	PerNode bool
@@ -62,49 +61,34 @@ func (s *SeriesRecorder) BeginRun(label string) {
 	s.degrades, s.sheds, s.violations = 0, 0, 0
 }
 
-// TaskPreempted implements sim.Observer.
-func (s *SeriesRecorder) TaskPreempted(units.Time, *sim.TaskState, *sim.TaskState, cluster.NodeID) {
-	s.preempts++
+// Observe implements sim.Observer: events between epochs accumulate
+// rates, and EpochEnded samples them with the cluster gauges.
+func (s *SeriesRecorder) Observe(ev sim.Event) {
+	switch ev.Kind {
+	case sim.TaskPreempted:
+		s.preempts++
+	case sim.DisorderDetected:
+		s.disorders++
+	case sim.TaskCompleted:
+		s.completed++
+	case sim.TaskRetried:
+		s.retries++
+	case sim.SpeculationLaunched:
+		s.specs++
+	case sim.SolverDegraded:
+		s.degrades++
+	case sim.JobShed:
+		s.sheds++
+	case sim.InvariantViolated:
+		s.violations++
+	case sim.EpochEnded:
+		s.sample(ev.At, ev.View)
+	}
 }
 
-// DisorderDetected implements sim.Observer.
-func (s *SeriesRecorder) DisorderDetected(units.Time, *sim.TaskState, *sim.TaskState, cluster.NodeID) {
-	s.disorders++
-}
-
-// TaskCompleted implements sim.Observer.
-func (s *SeriesRecorder) TaskCompleted(units.Time, *sim.TaskState, cluster.NodeID) {
-	s.completed++
-}
-
-// TaskRetried implements sim.Observer.
-func (s *SeriesRecorder) TaskRetried(units.Time, *sim.TaskState, cluster.NodeID, int, sim.RetryReason) {
-	s.retries++
-}
-
-// SpeculationLaunched implements sim.Observer.
-func (s *SeriesRecorder) SpeculationLaunched(units.Time, *sim.TaskState, cluster.NodeID, cluster.NodeID) {
-	s.specs++
-}
-
-// SolverDegraded implements sim.Observer.
-func (s *SeriesRecorder) SolverDegraded(units.Time, sim.SolverDegradation) {
-	s.degrades++
-}
-
-// JobShed implements sim.Observer.
-func (s *SeriesRecorder) JobShed(units.Time, *sim.JobState, sim.ShedReason) {
-	s.sheds++
-}
-
-// InvariantViolated implements sim.Observer.
-func (s *SeriesRecorder) InvariantViolated(units.Time, sim.InvariantViolation) {
-	s.violations++
-}
-
-// EpochEnded implements sim.Observer: sample the cluster after the
-// epoch's preemption actions were applied.
-func (s *SeriesRecorder) EpochEnded(now units.Time, _ int, v *sim.View) {
+// sample records the cluster after the epoch's preemption actions were
+// applied.
+func (s *SeriesRecorder) sample(now units.Time, v *sim.View) {
 	c := v.Cluster()
 	run := s.currentRun(c)
 	t := run.table

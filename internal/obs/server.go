@@ -49,13 +49,11 @@ type EpochSnapshot struct {
 // marker (TelemetrySchema) so scrapers always see live state and can
 // version-gate their parsing.
 //
-// It observes the simulation (EpochEnded copies the gauge set under a
+// It observes the simulation (an EpochEnded event copies the gauge set under a
 // mutex) while HTTP handlers read concurrently; Counters are atomic and
 // the attribution recorder locks internally, so attaching the server
 // never blocks the event loop on a scrape.
 type Server struct {
-	sim.NopObserver
-
 	counters *Counters
 	attrib   *attrib.Recorder
 	prof     *prof.Timer
@@ -117,12 +115,17 @@ func (s *Server) Close() error {
 	return s.srv.Close()
 }
 
-// EpochEnded implements sim.Observer: copy the epoch gauges out of the
-// engine-owned view so scrapes never touch live engine state.
-func (s *Server) EpochEnded(now units.Time, epoch int, v *sim.View) {
+// Observe implements sim.Observer: at EpochEnded it copies the epoch
+// gauges out of the engine-owned view so scrapes never touch live engine
+// state.
+func (s *Server) Observe(ev sim.Event) {
+	if ev.Kind != sim.EpochEnded {
+		return
+	}
 	var snap EpochSnapshot
-	snap.SimTimeMicros = int64(now)
-	snap.Epoch = epoch
+	snap.SimTimeMicros = int64(ev.At)
+	snap.Epoch = ev.N
+	v := ev.View
 	c := v.Cluster()
 	for k := 0; k < c.Len(); k++ {
 		node := cluster.NodeID(k)

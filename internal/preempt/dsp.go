@@ -194,7 +194,7 @@ func (d *DSP) epochNode(node cluster.NodeID, now units.Time, v *sim.View, calc *
 						// The gain does not cover the context-switch
 						// cost: the PP filter suppresses the preemption.
 						if obs != nil {
-							obs.PreemptionConsidered(now, sim.PreemptionDecision{
+							obs.Observe(sim.Event{Kind: sim.PreemptionConsidered, At: now, Decision: sim.PreemptionDecision{
 								Node:              node,
 								Candidate:         starter,
 								Victim:            vc.t,
@@ -203,7 +203,7 @@ func (d *DSP) epochNode(node cluster.NodeID, now units.Time, v *sim.View, calc *
 								Gain:              diff,
 								Overhead:          threshold,
 								Verdict:           sim.VerdictSuppressedByPP,
-							})
+							}})
 						}
 						return false
 					}

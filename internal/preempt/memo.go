@@ -13,8 +13,7 @@ import (
 // so the per-epoch cost is a flat, allocation-free array pass:
 //
 //   - Per job it caches a reverse-topological task order (children before
-//     parents) keyed on the DAG topology (len(Tasks) — dynamic growth is
-//     the only way the topology changes mid-run), so the order is derived
+//     parents) keyed on the job's task count, so the order is derived
 //     once per job, not once per epoch.
 //   - Per job it caches the compacted live-edge list — each task's
 //     not-yet-Done children — keyed on (len(Tasks), Remaining()). Task

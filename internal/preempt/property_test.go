@@ -13,14 +13,17 @@ import (
 // validator checks Algorithm 1's invariants on every preemption the
 // engine applies.
 type validator struct {
-	sim.NopObserver
 	t        *testing.T
 	epoch    units.Time
 	bad      int
 	preempts int
 }
 
-func (v *validator) TaskPreempted(now units.Time, victim, starter *sim.TaskState, node cluster.NodeID) {
+func (v *validator) Observe(ev sim.Event) {
+	if ev.Kind != sim.TaskPreempted {
+		return
+	}
+	now, victim, starter := ev.At, ev.Task, ev.Starter
 	v.preempts++
 	if starter == nil {
 		v.bad++

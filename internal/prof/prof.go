@@ -52,7 +52,7 @@ const (
 	// PhaseILPSolve: the exact ILP rung — model build, warm-start seeding
 	// and the branch-and-bound solve.
 	PhaseILPSolve
-	// PhaseSchedList: the dependency-aware list/HEFT rung (both the Auto
+	// PhaseSchedList: the dependency-aware list rung (both the Auto
 	// choice and the degradation fallback).
 	PhaseSchedList
 	// PhaseSchedFIFO: the bottom-rung FIFO placement under extreme

@@ -245,7 +245,7 @@ func RunKilledAndRecover(o Options, killN int) (*RunArtifacts, error) {
 		af.Close()
 		return nil, err
 	}
-	chain.RecoveryStarted(st.Now, st.PeriodIndex)
+	chain.Observe(sim.Event{Kind: sim.RecoveryStarted, At: st.Now, N: st.PeriodIndex})
 	res, err := er.Execute()
 	if err != nil {
 		af.Close()

@@ -1,13 +1,13 @@
 package recover
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 
-	"dsp/internal/cluster"
 	"dsp/internal/sim"
 	"dsp/internal/units"
 )
@@ -41,8 +41,6 @@ type AuditLog interface {
 // the un-persisted suffix, which recovery re-derives deterministically
 // from the previous generation.
 type Manager struct {
-	sim.NopObserver
-
 	dir    string
 	everyK int
 
@@ -126,7 +124,9 @@ func Resume(dir string, everyK int) (*Manager, *sim.EngineState, error) {
 // Latest returns the engine state of the newest readable snapshot in
 // dir and its generation number. Unreadable or corrupt snapshots are
 // skipped (an older valid one still recovers the run); ErrNoSnapshot
-// means none parsed.
+// means none parsed. When a skipped snapshot was written in another
+// format version, the error also wraps that *VersionError, so a
+// checkpoint dir left by an incompatible build says so.
 func Latest(dir string) (*sim.EngineState, int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -139,12 +139,19 @@ func Latest(dir string) (*sim.EngineState, int, error) {
 		}
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(seqs)))
+	var skew *VersionError
 	for _, s := range seqs {
 		st, err := ReadSnapshot(filepath.Join(dir, snapName(s)))
 		if err != nil {
+			if skew == nil {
+				errors.As(err, &skew)
+			}
 			continue // torn or corrupt: fall back to the previous generation
 		}
 		return st, s, nil
+	}
+	if skew != nil {
+		return nil, 0, fmt.Errorf("%w: %w", ErrNoSnapshot, skew)
 	}
 	return nil, 0, ErrNoSnapshot
 }
@@ -278,7 +285,7 @@ func (m *Manager) finishReplay(now units.Time) error {
 	}
 	m.p = p
 	if m.Peer != nil {
-		m.Peer.Replayed(now, len(m.verify))
+		m.Peer.Observe(sim.Event{Kind: sim.Replayed, At: now, N: len(m.verify)})
 	}
 	return nil
 }
@@ -527,58 +534,36 @@ func removeCheckpointFiles(dir string) error {
 	return nil
 }
 
-// Decision-event observer methods: the WAL record taxonomy. One record
+// Observe implements sim.Observer: the WAL record taxonomy. One record
 // per scheduling decision or externally visible task/job outcome —
 // dispatches, preemptions, completions, retries, terminal failures,
-// evictions and sheds. Payloads are deterministic single-line strings;
-// two runs of the same world produce identical sequences, which is
-// exactly what verification checks.
-
-// TaskStarted implements sim.Observer.
-func (m *Manager) TaskStarted(now units.Time, t *sim.TaskState, node cluster.NodeID) {
-	m.record(now, fmt.Sprintf("start t=%d task=%s node=%d", int64(now), t.Key(), int(node)))
-}
-
-// TaskPreempted implements sim.Observer.
-func (m *Manager) TaskPreempted(now units.Time, victim, starter *sim.TaskState, node cluster.NodeID) {
-	skey := "-"
-	if starter != nil {
-		skey = starter.Key().String()
+// evictions, sheds and cancellations. Payloads are deterministic
+// single-line strings; two runs of the same world produce identical
+// sequences, which is exactly what verification checks.
+func (m *Manager) Observe(ev sim.Event) {
+	now := int64(ev.At)
+	switch ev.Kind {
+	case sim.TaskStarted:
+		m.record(ev.At, fmt.Sprintf("start t=%d task=%s node=%d", now, ev.Task.Key(), int(ev.Node)))
+	case sim.TaskPreempted:
+		skey := "-"
+		if ev.Starter != nil {
+			skey = ev.Starter.Key().String()
+		}
+		m.record(ev.At, fmt.Sprintf("preempt t=%d victim=%s starter=%s node=%d", now, ev.Task.Key(), skey, int(ev.Node)))
+	case sim.TaskCompleted:
+		m.record(ev.At, fmt.Sprintf("complete t=%d task=%s node=%d", now, ev.Task.Key(), int(ev.Node)))
+	case sim.JobCompleted:
+		m.record(ev.At, fmt.Sprintf("job-complete t=%d job=%d", now, int(ev.Job.Dag.ID)))
+	case sim.TaskRetried:
+		m.record(ev.At, fmt.Sprintf("retry t=%d task=%s node=%d attempt=%d reason=%s", now, ev.Task.Key(), int(ev.Node), ev.N, ev.Retry))
+	case sim.TaskFailedTerminally:
+		m.record(ev.At, fmt.Sprintf("terminal t=%d task=%s node=%d", now, ev.Task.Key(), int(ev.Node)))
+	case sim.TaskEvicted:
+		m.record(ev.At, fmt.Sprintf("evict t=%d task=%s node=%d", now, ev.Task.Key(), int(ev.Node)))
+	case sim.JobShed:
+		m.record(ev.At, fmt.Sprintf("shed t=%d job=%d reason=%s", now, int(ev.Job.Dag.ID), ev.Shed))
+	case sim.JobCancelled:
+		m.record(ev.At, fmt.Sprintf("cancel t=%d job=%d", now, int(ev.Job.ID())))
 	}
-	m.record(now, fmt.Sprintf("preempt t=%d victim=%s starter=%s node=%d", int64(now), victim.Key(), skey, int(node)))
-}
-
-// TaskCompleted implements sim.Observer.
-func (m *Manager) TaskCompleted(now units.Time, t *sim.TaskState, node cluster.NodeID) {
-	m.record(now, fmt.Sprintf("complete t=%d task=%s node=%d", int64(now), t.Key(), int(node)))
-}
-
-// JobCompleted implements sim.Observer.
-func (m *Manager) JobCompleted(now units.Time, j *sim.JobState) {
-	m.record(now, fmt.Sprintf("job-complete t=%d job=%d", int64(now), int(j.Dag.ID)))
-}
-
-// TaskRetried implements sim.Observer.
-func (m *Manager) TaskRetried(now units.Time, t *sim.TaskState, node cluster.NodeID, attempt int, reason sim.RetryReason) {
-	m.record(now, fmt.Sprintf("retry t=%d task=%s node=%d attempt=%d reason=%s", int64(now), t.Key(), int(node), attempt, reason))
-}
-
-// TaskFailedTerminally implements sim.Observer.
-func (m *Manager) TaskFailedTerminally(now units.Time, t *sim.TaskState, node cluster.NodeID) {
-	m.record(now, fmt.Sprintf("terminal t=%d task=%s node=%d", int64(now), t.Key(), int(node)))
-}
-
-// TaskEvicted implements sim.Observer.
-func (m *Manager) TaskEvicted(now units.Time, t *sim.TaskState, node cluster.NodeID) {
-	m.record(now, fmt.Sprintf("evict t=%d task=%s node=%d", int64(now), t.Key(), int(node)))
-}
-
-// JobShed implements sim.Observer.
-func (m *Manager) JobShed(now units.Time, j *sim.JobState, reason sim.ShedReason) {
-	m.record(now, fmt.Sprintf("shed t=%d job=%d reason=%s", int64(now), int(j.Dag.ID), reason))
-}
-
-// JobCancelled implements sim.Observer.
-func (m *Manager) JobCancelled(now units.Time, j *sim.JobState) {
-	m.record(now, fmt.Sprintf("cancel t=%d job=%d", int64(now), int(j.ID())))
 }

@@ -1,6 +1,7 @@
 package recover
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -55,6 +56,26 @@ func testConfig(m *Manager) sim.Config {
 		cfg.Durability = m
 	}
 	return cfg
+}
+
+// TestLatestReportsVersionSkew: a checkpoint dir written in an older
+// snapshot format yields no usable snapshot, and the error names the
+// version mismatch instead of leaving the caller to guess.
+func TestLatestReportsVersionSkew(t *testing.T) {
+	dir := t.TempDir()
+	valid, err := EncodeSnapshot(sampleState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(valid, []byte(" "+snapshotVersion+" "), []byte(" v1 "), 1)
+	if err := os.WriteFile(filepath.Join(dir, snapName(1)), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Latest(dir)
+	var ve *VersionError
+	if !errors.Is(err, ErrNoSnapshot) || !errors.As(err, &ve) || ve.Got != "v1" {
+		t.Fatalf("err = %v, want ErrNoSnapshot wrapping a v1 VersionError", err)
+	}
 }
 
 func TestManagerRotationRetentionAndLatest(t *testing.T) {

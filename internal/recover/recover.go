@@ -35,8 +35,10 @@ import (
 	"fmt"
 )
 
-// Snapshot format version accepted by this package.
-const snapshotVersion = "v1"
+// Snapshot format version accepted by this package. v2 dropped the
+// dynamic-growth state (and with it one engine event-tag kind and a
+// world-fingerprint term), so a v1 snapshot cannot be restored.
+const snapshotVersion = "v2"
 
 // snapshotMagic starts every snapshot header line.
 const snapshotMagic = "dsp-snapshot"

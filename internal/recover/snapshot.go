@@ -13,7 +13,7 @@ import (
 )
 
 // EncodeSnapshot serializes an engine state as a self-validating blob:
-// a header line "dsp-snapshot v1 <sha256 hex> <payload length>\n"
+// a header line "dsp-snapshot v2 <sha256 hex> <payload length>\n"
 // followed by the JSON payload. The checksum covers the payload, so any
 // torn or bit-flipped write is detected on read.
 func EncodeSnapshot(st *sim.EngineState) ([]byte, error) {

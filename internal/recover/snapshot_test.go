@@ -65,10 +65,12 @@ func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("version skew", func(t *testing.T) {
-		b := bytes.Replace(valid, []byte(" "+snapshotVersion+" "), []byte(" v99 "), 1)
-		var ve *VersionError
-		if _, err := DecodeSnapshot(b); !errors.As(err, &ve) {
-			t.Errorf("err = %v, want VersionError", err)
+		for _, old := range []string{" v1 ", " v99 "} {
+			b := bytes.Replace(valid, []byte(" "+snapshotVersion+" "), []byte(old), 1)
+			var ve *VersionError
+			if _, err := DecodeSnapshot(b); !errors.As(err, &ve) {
+				t.Errorf("%q header: err = %v, want VersionError", old, err)
+			}
 		}
 	})
 	t.Run("wrong magic", func(t *testing.T) {

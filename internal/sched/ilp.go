@@ -35,8 +35,7 @@ type ilpOutcome struct {
 // Optimal solve returns exact=true; an Incumbent (budget exhausted
 // mid-search) still returns ok=true with the best feasible plan found —
 // the anytime contract — and anything else returns ok=false (the caller
-// falls back to the list engine, mirroring the paper's relax-and-round
-// escape hatch).
+// falls back to the list engine, which solves no LP).
 //
 // Formulation, with start_t the start time of task t (seconds from now),
 // e_{t,k} its execution time on machine k, p_t its estimated preemption
@@ -63,8 +62,7 @@ func (d *DSP) scheduleILP(now units.Time, pending []*sim.JobState, v *sim.View) 
 		return nil, ilpOutcome{reason: "no-usable-machines"}
 	}
 	// The exact solver is exponential in assignment binaries (tasks ×
-	// VMs); past a small VM budget the relax-and-round list engine is the
-	// right tool (a node with S slots contributes S VMs, so a "small"
+	// VMs); past a small VM budget the list engine is the right tool (a node with S slots contributes S VMs, so a "small"
 	// cluster can still be a large ILP).
 	if len(vms) > 2*d.ILPNodeLimit {
 		return nil, ilpOutcome{reason: "model-too-large"}

@@ -9,12 +9,13 @@ import (
 
 // degradeRecorder captures every SolverDegraded event a run emits.
 type degradeRecorder struct {
-	sim.NopObserver
 	events []sim.SolverDegradation
 }
 
-func (r *degradeRecorder) SolverDegraded(_ units.Time, d sim.SolverDegradation) {
-	r.events = append(r.events, d)
+func (r *degradeRecorder) Observe(ev sim.Event) {
+	if ev.Kind == sim.SolverDegraded {
+		r.events = append(r.events, ev.Degradation)
+	}
 }
 
 func TestLadderExactSolveEmitsNoDegradation(t *testing.T) {

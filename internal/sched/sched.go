@@ -10,17 +10,17 @@
 //     binaries y_{ij,uv,k} linearized with big-M disjunctive constraints,
 //     and solved exactly with the pure-Go branch-and-bound in
 //     internal/lp. Exact solving is exponential, so this engine is used
-//     for small instances (the paper uses CPLEX and likewise relaxes and
-//     rounds at scale).
-//   - List: a dependency-aware list scheduler that mirrors the relaxation
-//     heuristic: tasks are ranked by a dependency score (descendants
-//     weighted by level, as in the priority of Section IV-A) plus their
-//     bottom level, then placed earliest-finish-time-first onto node
-//     slots, respecting precedence. This is the engine used at the scale
-//     of the paper's experiments.
+//     for small instances only.
+//   - List: a dependency-aware list scheduler that solves no LP: tasks
+//     are ranked by a dependency score (descendants weighted by level, as
+//     in the priority of Section IV-A) plus their bottom level, then
+//     placed earliest-finish-time-first onto node slots, respecting
+//     precedence. It stands in for the paper's LP relax-and-round step.
 //
 // The DSP scheduler picks automatically: ILP when the instance fits
-// within ILPTaskLimit, the list engine otherwise.
+// within ILPTaskLimit tasks and ILPNodeLimit nodes, the list engine
+// otherwise. The paper's testbeds, RealCluster(50) and EC2(30), exceed
+// ILPNodeLimit, so at paper scale every period runs the list engine.
 package sched
 
 import (

@@ -292,96 +292,3 @@ func TestListDeterministic(t *testing.T) {
 		t.Errorf("list scheduling not deterministic: %v vs %v", a, b)
 	}
 }
-
-func TestHEFTChain(t *testing.T) {
-	j := sizedJob(0, 2000, 1000)
-	j.MustDep(0, 1)
-	res, err := sim.Run(sim.Config{Cluster: testCluster(2, 1), Scheduler: HEFT{}}, oneJobWorkload(j))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan != 3*units.Second {
-		t.Errorf("makespan = %v, want 3s", res.Makespan)
-	}
-	if (HEFT{}).Name() != "HEFT" {
-		t.Error("name")
-	}
-}
-
-func TestHEFTBalances(t *testing.T) {
-	// 4,3,3 on two nodes: HEFT places the largest first and balances to
-	// the 6 s optimum.
-	j := sizedJob(0, 4000, 3000, 3000)
-	res, err := sim.Run(sim.Config{Cluster: testCluster(2, 1), Scheduler: HEFT{}}, oneJobWorkload(j))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan != 6*units.Second {
-		t.Errorf("makespan = %v, want 6s", res.Makespan)
-	}
-}
-
-func TestHEFTPrefersFasterNode(t *testing.T) {
-	c := testCluster(2, 1)
-	c.Nodes[1].SCPU = 4000 // g = 2500
-	c.Nodes[1].SMem = 1000
-	j := sizedJob(0, 5000)
-	res, err := sim.Run(sim.Config{Cluster: c, Scheduler: HEFT{}}, oneJobWorkload(j))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := units.FromSeconds(5000.0 / 2500.0); res.Makespan != want {
-		t.Errorf("makespan = %v, want %v", res.Makespan, want)
-	}
-}
-
-func TestHEFTCompletesGeneratedWorkload(t *testing.T) {
-	spec := trace.DefaultSpec(6, 4)
-	spec.TaskScale = 0.04
-	w, err := trace.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(sim.Config{Cluster: cluster.RealCluster(8), Scheduler: HEFT{}}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.JobsCompleted != 6 {
-		t.Errorf("completed %d jobs", res.JobsCompleted)
-	}
-}
-
-func TestDSPListCompetitiveWithHEFT(t *testing.T) {
-	// On dependency-heavy workloads, DSP's dependency-score ordering
-	// should be no worse than plain HEFT in aggregate.
-	var dspTotal, heftTotal units.Time
-	for seed := int64(1); seed <= 5; seed++ {
-		spec := trace.DefaultSpec(6, seed)
-		spec.TaskScale = 0.04
-		spec.EdgeDensity = 1.0
-		for _, useDSP := range []bool{true, false} {
-			w, err := trace.Generate(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var s sim.Scheduler = HEFT{}
-			if useDSP {
-				d := NewDSP()
-				d.Mode = ListOnly
-				s = d
-			}
-			res, err := sim.Run(sim.Config{Cluster: testCluster(4, 2), Scheduler: s}, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if useDSP {
-				dspTotal += res.Makespan
-			} else {
-				heftTotal += res.Makespan
-			}
-		}
-	}
-	if dspTotal > heftTotal+heftTotal/10 {
-		t.Errorf("DSP aggregate %v much worse than HEFT %v", dspTotal, heftTotal)
-	}
-}

@@ -137,8 +137,9 @@ type Daemon struct {
 	wallStart time.Time  // pacing origin (wall)
 	virtStart units.Time // pacing origin (virtual; snapshot Now on resume)
 
-	ln  net.Listener
-	srv *http.Server
+	// addr is the bound listen address, published by Run for Addr
+	// callers on other goroutines.
+	addr atomic.Pointer[string]
 }
 
 // New builds a Daemon: fresh when cfg.Resume is false, otherwise
@@ -311,7 +312,7 @@ func (d *Daemon) resumeEngine(simCfg sim.Config) error {
 			return err
 		}
 		d.virtStart = st.Now
-		chain.RecoveryStarted(st.Now, st.PeriodIndex)
+		chain.Observe(sim.Event{Kind: sim.RecoveryStarted, At: st.Now, N: st.PeriodIndex})
 	} else {
 		if eng, err = sim.Prepare(simCfg, &trace.Workload{}); err != nil {
 			return err
@@ -542,12 +543,13 @@ func (d *Daemon) Interrupt() { d.interrupt.Store(true) }
 // telemetry) without binding a listener, for tests.
 func (d *Daemon) Handler() http.Handler { return d.mux }
 
-// Addr returns the bound listen address once Run has started.
+// Addr returns the bound listen address once Run has started ("" before).
+// Safe to call from any goroutine.
 func (d *Daemon) Addr() string {
-	if d.ln == nil {
-		return ""
+	if a := d.addr.Load(); a != nil {
+		return *a
 	}
-	return d.ln.Addr().String()
+	return ""
 }
 
 // Run serves until ctx is cancelled (graceful drain: stop accepting,
@@ -560,10 +562,11 @@ func (d *Daemon) Run(ctx context.Context) (*sim.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: listen %s: %w", d.cfg.Listen, err)
 	}
-	d.ln = ln
-	d.srv = &http.Server{Handler: d.mux, ReadHeaderTimeout: 5 * time.Second}
+	addr := ln.Addr().String()
+	d.addr.Store(&addr)
+	srv := &http.Server{Handler: d.mux, ReadHeaderTimeout: 5 * time.Second}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- d.srv.Serve(ln) }()
+	go func() { serveErr <- srv.Serve(ln) }()
 	stepErr := make(chan error, 1)
 	go d.pace(stepErr)
 	d.logf("serving on %s (rate %gx, period %.0fs)", d.Addr(), d.cfg.Rate, d.cfg.Period.Seconds())
@@ -580,7 +583,7 @@ func (d *Daemon) Run(ctx context.Context) (*sim.Result, error) {
 	d.haltPacer()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	d.srv.Shutdown(shutCtx) //nolint:errcheck // in-flight requests get the timeout
+	srv.Shutdown(shutCtx) //nolint:errcheck // in-flight requests get the timeout
 	res, derr := d.Drain()
 	if cause != nil {
 		return res, cause

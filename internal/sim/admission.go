@@ -101,7 +101,7 @@ func (e *Engine) shedJob(j *JobState, eventAt units.Time, reason ShedReason) {
 		t.Phase = Failed
 	}
 	if o := e.cfg.Observer; o != nil {
-		o.JobShed(eventAt, j, reason)
+		o.Observe(Event{Kind: JobShed, At: eventAt, Job: j, Shed: reason})
 	}
 	for _, other := range e.jobs {
 		if other.failed || other.shed || other.Done() {

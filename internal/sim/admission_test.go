@@ -10,14 +10,15 @@ import (
 
 // shedRecorder captures every JobShed event with its reason.
 type shedRecorder struct {
-	NopObserver
 	shed map[dag.JobID]ShedReason
 }
 
 func newShedRecorder() *shedRecorder { return &shedRecorder{shed: map[dag.JobID]ShedReason{}} }
 
-func (r *shedRecorder) JobShed(_ units.Time, j *JobState, reason ShedReason) {
-	r.shed[j.Dag.ID] = reason
+func (r *shedRecorder) Observe(ev Event) {
+	if ev.Kind == JobShed {
+		r.shed[ev.Job.Dag.ID] = ev.Shed
+	}
 }
 
 func TestAdmissionQueueBoundSheds(t *testing.T) {

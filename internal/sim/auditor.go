@@ -123,7 +123,7 @@ func (e *Engine) auditInvariants(now units.Time) {
 func (e *Engine) violate(now units.Time, v InvariantViolation) {
 	e.metrics.InvariantViolations++
 	if o := e.cfg.Observer; o != nil {
-		o.InvariantViolated(now, v)
+		o.Observe(Event{Kind: InvariantViolated, At: now, Violation: v})
 	}
 }
 

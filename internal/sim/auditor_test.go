@@ -34,12 +34,13 @@ func (c *corruptingPreemptor) Epoch(now units.Time, v *View) []Action {
 
 // violationRecorder captures InvariantViolated events.
 type violationRecorder struct {
-	NopObserver
 	violations []InvariantViolation
 }
 
-func (r *violationRecorder) InvariantViolated(_ units.Time, v InvariantViolation) {
-	r.violations = append(r.violations, v)
+func (r *violationRecorder) Observe(ev Event) {
+	if ev.Kind == InvariantViolated {
+		r.violations = append(r.violations, ev.Violation)
+	}
 }
 
 func TestAuditorQuarantinesCorruptedTask(t *testing.T) {

@@ -71,8 +71,7 @@ type DurableComponent interface {
 
 // Event tag kinds: everything the engine ever arms on its queue. The A/B
 // tag operands hold (job index, task ID) for task events, a node ID for
-// node events, and a growth-plan index for growth events; F holds a
-// straggler speed factor.
+// node events; F holds a straggler speed factor.
 const (
 	evArrival uint8 = iota + 1
 	evPeriodTick
@@ -85,7 +84,6 @@ const (
 	evNodeFail
 	evNodeRecover
 	evSpeed
-	evGrowth
 	evBackupComplete
 )
 
@@ -105,10 +103,6 @@ type EngineState struct {
 	LastDone      units.Time
 	JobsRemaining int
 	ActiveBackups int
-	// GrowthApplied lists the Config.Growth batch indices whose events
-	// have fired, in fire order; restore replays their structural DAG
-	// extensions before overlaying task state.
-	GrowthApplied []int
 	// IngestApplied is the streaming-ingestion journal splice point: how
 	// many accepted entries had been drained into the world at capture
 	// time. The serving layer rebuilds the resume workload from the
@@ -223,7 +217,6 @@ func (e *Engine) CaptureState() (*EngineState, error) {
 		LastDone:      e.lastDone,
 		JobsRemaining: e.jobsRemaining,
 		ActiveBackups: e.activeBackups,
-		GrowthApplied: append([]int(nil), e.growthApplied...),
 		IngestApplied: e.ingestApplied,
 		WorldSum:      e.worldSum,
 		AuditOffset:   -1,
@@ -352,22 +345,6 @@ func (e *Engine) applyState(st *EngineState) error {
 	if len(st.Jobs) != len(e.jobs) {
 		return fmt.Errorf("sim: snapshot has %d jobs, workload has %d", len(st.Jobs), len(e.jobs))
 	}
-	// Replay structural growth first so task counts line up.
-	for _, gi := range st.GrowthApplied {
-		if gi < 0 || gi >= len(e.cfg.Growth) {
-			return fmt.Errorf("sim: snapshot growth index %d out of range [0, %d)", gi, len(e.cfg.Growth))
-		}
-		g := e.cfg.Growth[gi]
-		js := e.jobByID(g.Job)
-		if js == nil {
-			return fmt.Errorf("sim: snapshot growth batch %d references unknown job %d", gi, g.Job)
-		}
-		e.growStructure(js, g, st.Now)
-		e.growthApplied = append(e.growthApplied, gi)
-	}
-	// Growth reserves remaining-task slots at install time on a fresh
-	// run; here remaining is overlaid below, so only the structure was
-	// needed.
 	for i, js := range e.jobs {
 		snap := &st.Jobs[i]
 		js.DoneAt = snap.DoneAt
@@ -586,19 +563,6 @@ func (e *Engine) armEvent(ev *eventSnap) error {
 		e.q.AtTag(ev.At, eventq.Tag{Kind: evSpeed, A: ev.A, F: factor}, eventq.Func(func(now units.Time) {
 			e.setSpeedFactor(k, factor, now)
 		}))
-	case evGrowth:
-		gi := int(ev.A)
-		if gi < 0 || gi >= len(e.cfg.Growth) {
-			return fmt.Errorf("sim: snapshot growth event index %d out of range [0, %d)", gi, len(e.cfg.Growth))
-		}
-		g := e.cfg.Growth[gi]
-		js := e.jobByID(g.Job)
-		if js == nil {
-			return fmt.Errorf("sim: snapshot growth event references unknown job %d", g.Job)
-		}
-		e.q.AtTag(ev.At, eventq.Tag{Kind: evGrowth, A: ev.A}, eventq.Func(func(now units.Time) {
-			e.applyGrowth(js, gi, g, now)
-		}))
 	case evBackupComplete:
 		t, err := taskEvent()
 		if err != nil {
@@ -658,7 +622,6 @@ func (e *Engine) worldFingerprint() uint64 {
 	if e.cfg.Speculation != nil {
 		mix(2)
 	}
-	mix(uint64(len(e.cfg.Growth)))
 	if p := e.cfg.Faults; p != nil {
 		mix(uint64(len(p.Failures)))
 		mix(uint64(len(p.Stragglers)))

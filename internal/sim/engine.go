@@ -40,9 +40,6 @@ type Config struct {
 	// time a task runs on a node other than its preferred (data-holding)
 	// node. Zero disables data-locality effects.
 	RemoteInputPenalty units.Time
-	// Growth optionally adds tasks to running jobs mid-simulation
-	// (dynamic DAG extension).
-	Growth []TaskGrowth
 	// RetryBudget is how many failed attempts (transient task faults,
 	// crash evictions of running tasks) a task absorbs before failing
 	// terminally and taking its job down. 0 = DefaultRetryBudget;
@@ -100,11 +97,9 @@ type Config struct {
 	// boundaries, the period/epoch ticks keep re-arming while ingestion
 	// is open, and settled jobs are retired (DAG and task state released)
 	// to bound memory. Drive a streaming engine with StepUntil and finish
-	// it with CloseIngest + FinishStreaming; see ingest.go. Incompatible
-	// with Growth (dynamic DAG extension is keyed to the initial job
-	// set). In streaming mode per-job records (Result.Jobs) are not
-	// accumulated, so the derived AvgJobQueueing/AvgJobWaiting metrics
-	// are unavailable.
+	// it with CloseIngest + FinishStreaming; see ingest.go. In streaming
+	// mode per-job records (Result.Jobs) are not accumulated, so the
+	// derived AvgJobQueueing/AvgJobWaiting metrics are unavailable.
 	Streaming bool
 }
 
@@ -181,11 +176,6 @@ type Engine struct {
 	// periodIndex numbers offline scheduling periods from 1; the
 	// durability sink keys its snapshot cadence on it.
 	periodIndex int
-	// growthApplied records the indices into cfg.Growth whose events have
-	// fired and extended their jobs, in fire order. Snapshots carry the
-	// list so a restore can replay the structural DAG extensions before
-	// overlaying task state.
-	growthApplied []int
 	// durErr latches the first durability-sink failure; Execute surfaces
 	// it after the event pump stops.
 	durErr error
@@ -231,7 +221,7 @@ func Prepare(cfg Config, w *trace.Workload) (*Engine, error) {
 	tm.Enter(prof.PhaseSetup)
 	err = e.buildWorld(w)
 	if err == nil {
-		err = e.armInitialEvents()
+		e.armInitialEvents()
 	}
 	tm.Exit()
 	if err != nil {
@@ -252,9 +242,6 @@ func newEngine(cfg *Config, w *trace.Workload) (*Engine, error) {
 	}
 	if len(w.Jobs) == 0 && !cfg.Streaming {
 		return nil, fmt.Errorf("sim: empty workload")
-	}
-	if cfg.Streaming && len(cfg.Growth) > 0 {
-		return nil, fmt.Errorf("sim: streaming mode is incompatible with dynamic growth (growth plans are keyed to the initial job set)")
 	}
 	if cfg.Checkpoint.Enabled && cfg.Checkpoint.Interval >= cfg.Epoch {
 		// DefaultCheckpoint's doc comment warns that a checkpoint interval
@@ -426,16 +413,13 @@ func (e *Engine) buildWorld(w *trace.Workload) error {
 }
 
 // armInitialEvents schedules the events of a fresh (non-resumed) run:
-// job arrivals, injected faults, dynamic growth, and the first
-// period/epoch/speculation ticks.
-func (e *Engine) armInitialEvents() error {
+// job arrivals, injected faults, and the first period/epoch/speculation
+// ticks.
+func (e *Engine) armInitialEvents() {
 	cfg := e.cfg
 	e.installFaults(cfg.Faults)
 	for _, js := range e.jobs {
 		e.armArrival(js, js.Arrival)
-	}
-	if err := e.installGrowth(cfg.Growth); err != nil {
-		return err
 	}
 
 	// First scheduling period fires at the first arrival. A streaming
@@ -452,7 +436,6 @@ func (e *Engine) armInitialEvents() error {
 	if cfg.Speculation != nil {
 		e.q.AtTag(start+cfg.Speculation.Interval, eventq.Tag{Kind: evSpecTick}, eventq.Func(e.specTick))
 	}
-	return nil
 }
 
 // armArrival schedules a job's arrival event: its pending tasks become
@@ -565,11 +548,11 @@ func (e *Engine) periodTick(now units.Time) {
 	}
 	if d := e.cfg.Durability; d != nil {
 		tm.Enter(prof.PhaseSnapshot)
-		if d.SnapshotDue(e.periodIndex) && e.cfg.Observer != nil {
+		if o := e.cfg.Observer; d.SnapshotDue(e.periodIndex) && o != nil {
 			// The audit line for the snapshot event must precede the offset
 			// the snapshot records, so a resumed run's truncated audit
 			// already contains it — emit before the sink captures state.
-			e.cfg.Observer.SnapshotTaken(now, e.periodIndex)
+			o.Observe(Event{Kind: SnapshotTaken, At: now, N: e.periodIndex})
 		}
 		if err := d.OnPeriod(e, e.periodIndex, now); err != nil && e.durErr == nil {
 			e.durErr = err
@@ -681,8 +664,8 @@ func (e *Engine) start(k cluster.NodeID, t *TaskState, now units.Time) {
 		}
 		e.metrics.taskWaitSamples++
 	}
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.TaskStarted(now, t, k)
+	if o := e.cfg.Observer; o != nil {
+		o.Observe(Event{Kind: TaskStarted, At: now, Task: t, Node: k})
 	}
 	if !t.DepsMet() {
 		t.blocked = true
@@ -749,8 +732,8 @@ func (e *Engine) kickBlocked(k cluster.NodeID, t *TaskState, now units.Time) {
 	// else first.
 	t.PlannedStart = now + e.cfg.Period
 	e.enqueue(k, t)
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.TaskRequeued(now, t, k, RequeueBlindTimeout)
+	if o := e.cfg.Observer; o != nil {
+		o.Observe(Event{Kind: TaskRequeued, At: now, Task: t, Node: k, Requeue: RequeueBlindTimeout})
 	}
 	e.tryFill(k, now)
 }
@@ -836,8 +819,8 @@ func (e *Engine) finish(k cluster.NodeID, t *TaskState, now units.Time) {
 	t.DoneAt = now
 	t.doneMI = t.Task.Size
 	e.metrics.TasksCompleted++
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.TaskCompleted(now, t, k)
+	if o := e.cfg.Observer; o != nil {
+		o.Observe(Event{Kind: TaskCompleted, At: now, Task: t, Node: k})
 	}
 	if t.Deadline != units.Forever && now > t.Deadline {
 		e.metrics.TaskDeadlineMisses++
@@ -886,8 +869,8 @@ func (e *Engine) finish(k cluster.NodeID, t *TaskState, now units.Time) {
 			e.metrics.totalJobQueueWait += rec.AvgTaskQueueWait
 			e.metrics.Jobs = append(e.metrics.Jobs, rec)
 		}
-		if e.cfg.Observer != nil {
-			e.cfg.Observer.JobCompleted(now, j)
+		if o := e.cfg.Observer; o != nil {
+			o.Observe(Event{Kind: JobCompleted, At: now, Job: j})
 		}
 	}
 	if now > e.lastDone {
@@ -919,8 +902,8 @@ func (e *Engine) finish(k cluster.NodeID, t *TaskState, now units.Time) {
 // epochTick runs the online preemption policy and re-arms itself.
 func (e *Engine) epochTick(now units.Time) {
 	e.epochIndex++
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.EpochStarted(now, e.epochIndex)
+	if o := e.cfg.Observer; o != nil {
+		o.Observe(Event{Kind: EpochStarted, At: now, N: e.epochIndex})
 	}
 	tm := e.cfg.Prof
 	tm.Enter(prof.PhaseEpochPolicy)
@@ -939,8 +922,8 @@ func (e *Engine) epochTick(now units.Time) {
 		e.auditInvariants(now)
 		tm.Exit()
 	}
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.EpochEnded(now, e.epochIndex, e.view)
+	if o := e.cfg.Observer; o != nil {
+		o.Observe(Event{Kind: EpochEnded, At: now, N: e.epochIndex, View: e.view})
 	}
 	if e.jobsRemaining > 0 || e.streamingLive() {
 		e.q.AfterTag(e.cfg.Epoch, eventq.Tag{Kind: evEpochTick}, eventq.Func(e.epochTick))
@@ -967,8 +950,8 @@ func (e *Engine) applyAction(a Action, now units.Time) {
 	if !a.Starter.DepsMet() {
 		e.metrics.Disorders++
 		if o := e.cfg.Observer; o != nil {
-			o.PreemptionConsidered(now, decisionOf(a, VerdictDisorder))
-			o.DisorderDetected(now, a.Starter, a.Victim, a.Node)
+			o.Observe(Event{Kind: PreemptionConsidered, At: now, Decision: decisionOf(a, VerdictDisorder)})
+			o.Observe(Event{Kind: DisorderDetected, At: now, Task: a.Victim, Starter: a.Starter, Node: a.Node})
 		}
 		return
 	}
@@ -978,8 +961,8 @@ func (e *Engine) applyAction(a Action, now units.Time) {
 		if a.Urgent {
 			verdict = VerdictUrgentOverride
 		}
-		o.PreemptionConsidered(now, decisionOf(a, verdict))
-		o.TaskPreempted(now, a.Victim, a.Starter, a.Node)
+		o.Observe(Event{Kind: PreemptionConsidered, At: now, Decision: decisionOf(a, verdict)})
+		o.Observe(Event{Kind: TaskPreempted, At: now, Task: a.Victim, Starter: a.Starter, Node: a.Node})
 	}
 	e.start(a.Node, a.Starter, now)
 }

@@ -87,55 +87,6 @@ func TestCrossJobErrors(t *testing.T) {
 	}
 }
 
-func TestDynamicGrowthExtendsDAG(t *testing.T) {
-	// A job with one 10 s task; at 3 s two new 1 s tasks are added, one
-	// depending on the original task.
-	j := sizedJob(0, 10000)
-	res, err := Run(Config{
-		Cluster:   testCluster(1, 2),
-		Scheduler: rrScheduler{},
-		Period:    2 * units.Second,
-		Growth: []TaskGrowth{{
-			Job: 0,
-			At:  3 * units.Second,
-			Tasks: []GrownTask{
-				{SizeMI: 1000, Parents: []dag.TaskID{0}, Preferred: -1},
-				{SizeMI: 1000, Preferred: -1},
-			},
-		}},
-	}, mkWorkload([]units.Time{0}, j))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GrownTasks != 2 {
-		t.Errorf("GrownTasks = %d, want 2", res.GrownTasks)
-	}
-	if res.TasksCompleted != 3 {
-		t.Fatalf("completed %d tasks, want 3", res.TasksCompleted)
-	}
-	// Independent grown task scheduled at 4 s period, runs [4,5) on the
-	// free slot; dependent one waits for task 0 (done at 10), runs
-	// [10,11): makespan 11 s.
-	if res.Makespan != 11*units.Second {
-		t.Errorf("makespan = %v, want 11s", res.Makespan)
-	}
-	if res.JobsCompleted != 1 {
-		t.Errorf("jobs completed = %d", res.JobsCompleted)
-	}
-}
-
-func TestGrowthUnknownJobRejected(t *testing.T) {
-	j := sizedJob(0, 1000)
-	_, err := Run(Config{
-		Cluster:   testCluster(1, 1),
-		Scheduler: rrScheduler{},
-		Growth:    []TaskGrowth{{Job: 42, At: 0}},
-	}, mkWorkload([]units.Time{0}, j))
-	if err == nil {
-		t.Error("growth for unknown job accepted")
-	}
-}
-
 func TestJobRecordsAndSlowdown(t *testing.T) {
 	// Chain of two 5 s tasks: ideal = critical path = 10 s at the 1000
 	// MIPS mean speed. One job, no queueing: slowdown 1.0.

@@ -176,8 +176,8 @@ func (e *Engine) failNode(k cluster.NodeID, now units.Time) {
 	e.metrics.Failures++
 	speed := e.speedOf(k)
 	ns.down = true
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.NodeFailed(now, k)
+	if o := e.cfg.Observer; o != nil {
+		o.Observe(Event{Kind: NodeFailed, At: now, Node: k})
 	}
 	e.addPenalty(k, 1, now)
 
@@ -223,8 +223,8 @@ func (e *Engine) failNode(k cluster.NodeID, now units.Time) {
 		t.resumePenalty = e.cfg.Checkpoint.ResumePenalty()
 		t.attemptFailAt = 0
 		e.metrics.FailureEvictions++
-		if e.cfg.Observer != nil {
-			e.cfg.Observer.TaskEvicted(now, t, k)
+		if o := e.cfg.Observer; o != nil {
+			o.Observe(Event{Kind: TaskEvicted, At: now, Task: t, Node: k})
 		}
 		e.retryOrFail(k, t, now, RetryCrashEviction)
 	}
@@ -246,8 +246,8 @@ func (e *Engine) evictToPending(t *TaskState, k cluster.NodeID, now units.Time) 
 	t.Node = -1
 	t.Job.assigned--
 	e.metrics.FailureEvictions++
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.TaskEvicted(now, t, k)
+	if o := e.cfg.Observer; o != nil {
+		o.Observe(Event{Kind: TaskEvicted, At: now, Task: t, Node: k})
 	}
 }
 
@@ -258,8 +258,8 @@ func (e *Engine) recoverNode(k cluster.NodeID, now units.Time) {
 		return
 	}
 	ns.down = false
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.NodeRecovered(now, k)
+	if o := e.cfg.Observer; o != nil {
+		o.Observe(Event{Kind: NodeRecovered, At: now, Node: k})
 	}
 	e.tryFill(k, now)
 }

@@ -332,7 +332,7 @@ func (e *Engine) cancelJob(js *JobState, now units.Time) {
 	js.cancelled = true
 	e.metrics.JobsCancelled++
 	if o := e.cfg.Observer; o != nil {
-		o.JobCancelled(now, js)
+		o.Observe(Event{Kind: JobCancelled, At: now, Job: js})
 	}
 	e.failJob(js, now)
 }

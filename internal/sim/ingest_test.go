@@ -27,12 +27,13 @@ func streamJob(id dag.JobID, arrival units.Time, sizes ...float64) *trace.Job {
 
 // shedTimeRecorder captures the event time of every JobShed.
 type shedTimeRecorder struct {
-	NopObserver
 	at map[dag.JobID]units.Time
 }
 
-func (r *shedTimeRecorder) JobShed(now units.Time, j *JobState, _ ShedReason) {
-	r.at[j.ID()] = now
+func (r *shedTimeRecorder) Observe(ev Event) {
+	if ev.Kind == JobShed {
+		r.at[ev.Job.ID()] = ev.At
+	}
 }
 
 // TestStreamingShedEventCarriesArrivalStamp is the regression test for

@@ -14,7 +14,6 @@ import (
 // slot capacity is never exceeded, tasks only start with precedents
 // finished (dependency-aware mode), and completions happen exactly once.
 type invariantObserver struct {
-	NopObserver
 	t        *testing.T
 	slots    int
 	running  map[cluster.NodeID]int
@@ -31,7 +30,18 @@ func newInvariantObserver(t *testing.T, slots int) *invariantObserver {
 	}
 }
 
-func (o *invariantObserver) TaskStarted(now units.Time, ts *TaskState, node cluster.NodeID) {
+func (o *invariantObserver) Observe(ev Event) {
+	switch ev.Kind {
+	case TaskStarted:
+		o.started(ev.At, ev.Task, ev.Node)
+	case TaskPreempted:
+		o.running[ev.Node]--
+	case TaskCompleted:
+		o.completed(ev.At, ev.Task, ev.Node)
+	}
+}
+
+func (o *invariantObserver) started(now units.Time, ts *TaskState, node cluster.NodeID) {
 	o.running[node]++
 	if o.running[node] > o.slots {
 		o.failures++
@@ -50,11 +60,7 @@ func (o *invariantObserver) TaskStarted(now units.Time, ts *TaskState, node clus
 	}
 }
 
-func (o *invariantObserver) TaskPreempted(now units.Time, victim, _ *TaskState, node cluster.NodeID) {
-	o.running[node]--
-}
-
-func (o *invariantObserver) TaskCompleted(now units.Time, ts *TaskState, node cluster.NodeID) {
+func (o *invariantObserver) completed(now units.Time, ts *TaskState, node cluster.NodeID) {
 	o.running[node]--
 	if o.running[node] < 0 {
 		o.failures++
@@ -66,8 +72,6 @@ func (o *invariantObserver) TaskCompleted(now units.Time, ts *TaskState, node cl
 	}
 	o.done[ts.Key()] = true
 }
-
-func (o *invariantObserver) JobCompleted(units.Time, *JobState) {}
 
 func TestPropertySimulatorInvariants(t *testing.T) {
 	f := func(seed int64) bool {

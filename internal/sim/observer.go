@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"io"
 
 	"dsp/internal/cluster"
 	"dsp/internal/units"
@@ -126,7 +125,7 @@ const (
 	// TierILPIncumbent: the ILP's best incumbent, used after a work
 	// budget ran out before optimality was proven.
 	TierILPIncumbent
-	// TierList: the dependency-aware list/HEFT heuristic.
+	// TierList: the dependency-aware list heuristic.
 	TierList
 	// TierFIFO: arrival-order round-robin placement, the last resort
 	// under extreme overload.
@@ -211,578 +210,179 @@ type InvariantViolation struct {
 	Detail string
 }
 
-// Observer receives simulation lifecycle and decision events; attach one
-// via Config.Observer to trace a run (debugging, visualization, custom
-// metrics, audit logs). All callbacks run synchronously inside the event
-// loop — keep them cheap and do not mutate simulator state. Embed
-// NopObserver to implement only the events you care about.
-type Observer interface {
-	// TaskStarted fires when a task occupies a slot (including resume
-	// after preemption and blind starts of blocked tasks).
-	TaskStarted(now units.Time, t *TaskState, node cluster.NodeID)
-	// TaskPreempted fires when a running task is suspended.
-	TaskPreempted(now units.Time, victim, starter *TaskState, node cluster.NodeID)
-	// TaskCompleted fires when a task finishes.
-	TaskCompleted(now units.Time, t *TaskState, node cluster.NodeID)
-	// JobCompleted fires when a job's last task finishes.
-	JobCompleted(now units.Time, j *JobState)
-	// EpochStarted fires before the online preemption policy runs;
+// EventKind names one class of engine event. The comment on each kind
+// lists the Event fields it sets; At is always set.
+type EventKind uint8
+
+// Event kinds.
+const (
+	// TaskStarted: Task occupies a slot on Node (including resume after
+	// preemption and blind starts of blocked tasks).
+	TaskStarted EventKind = iota
+	// TaskPreempted: the running Task is suspended on Node; Starter is the
+	// task that took its slot (nil when none did).
+	TaskPreempted
+	// TaskCompleted: Task finishes on Node.
+	TaskCompleted
+	// JobCompleted: Job's last task finishes.
+	JobCompleted
+	// EpochStarted: the online preemption policy is about to run epoch N;
 	// epochs count from 1.
-	EpochStarted(now units.Time, epoch int)
-	// EpochEnded fires after the epoch's actions were applied and free
-	// slots refilled. The view is valid only for the duration of the
-	// callback and gives read access for per-epoch sampling (queue
-	// depths, busy slots, …).
-	EpochEnded(now units.Time, epoch int, v *View)
-	// PreemptionConsidered fires for every preemption decision with a
-	// definite outcome: accepted, urgent-override and disorder verdicts
+	EpochStarted
+	// EpochEnded: epoch N's actions were applied and free slots refilled.
+	// View is valid only for the duration of the call and gives read
+	// access for per-epoch sampling (queue depths, busy slots, …).
+	EpochEnded
+	// PreemptionConsidered: one preemption decision with a definite
+	// outcome (Decision): accepted, urgent-override and disorder verdicts
 	// come from the engine as actions are applied; suppressed-by-PP
 	// verdicts come from the DSP policy as it evaluates the filter.
-	PreemptionConsidered(now units.Time, d PreemptionDecision)
-	// DisorderDetected fires when a policy ordered a starter whose
-	// precedents have not finished (alongside the disorder-verdict
+	PreemptionConsidered
+	// DisorderDetected: a policy ordered Starter, whose precedents have not
+	// finished, to evict Task on Node (alongside the disorder-verdict
 	// PreemptionConsidered event).
-	DisorderDetected(now units.Time, starter, victim *TaskState, node cluster.NodeID)
-	// NodeFailed and NodeRecovered fire on injected fault-plan events.
-	NodeFailed(now units.Time, node cluster.NodeID)
-	NodeRecovered(now units.Time, node cluster.NodeID)
-	// TaskEvicted fires for every task (running or queued) a node crash
-	// threw back into the pending pool; node is where it was evicted from.
-	TaskEvicted(now units.Time, t *TaskState, node cluster.NodeID)
-	// TaskRequeued fires when a task re-enters its node queue outside the
-	// preemption path (see RequeueReason).
-	TaskRequeued(now units.Time, t *TaskState, node cluster.NodeID, reason RequeueReason)
-	// TaskRetried fires when a failed execution attempt is charged
-	// against the task's retry budget and the task is re-admitted
-	// (directly to Pending, or to Backoff first); attempt counts failed
-	// attempts so far and node is where the attempt died.
-	TaskRetried(now units.Time, t *TaskState, node cluster.NodeID, attempt int, reason RetryReason)
-	// TaskFailedTerminally fires when a task exhausts its retry budget;
-	// its job (and any job transitively waiting on it) fails with it.
-	TaskFailedTerminally(now units.Time, t *TaskState, node cluster.NodeID)
-	// SpeculationLaunched fires when a backup copy of a straggling task
-	// starts on an idle slot; primary is where the original runs.
-	SpeculationLaunched(now units.Time, t *TaskState, primary, backup cluster.NodeID)
-	// SpeculationWon fires when the backup copy finishes first; the
-	// primary attempt on loser is cancelled.
-	SpeculationWon(now units.Time, t *TaskState, winner, loser cluster.NodeID)
-	// SpeculationCancelled fires when a backup copy is abandoned (the
-	// primary finished first, its node crashed, or the job failed).
-	SpeculationCancelled(now units.Time, t *TaskState, backup cluster.NodeID)
-	// NodeBlacklisted fires when a node's decayed failure penalty crosses
-	// the blacklist threshold (rising edge only).
-	NodeBlacklisted(now units.Time, node cluster.NodeID)
-	// SolverDegraded fires when the offline scheduler falls down its
-	// degradation ladder (exact ILP → anytime incumbent → list → FIFO)
-	// instead of placing work with the tier it attempted.
-	SolverDegraded(now units.Time, d SolverDegradation)
-	// JobShed fires when admission control rejects a job at arrival; the
-	// job counts as shed, not failed or deadline-missed. now is the job's
+	DisorderDetected
+	// NodeFailed and NodeRecovered: an injected fault-plan event on Node.
+	NodeFailed
+	NodeRecovered
+	// TaskEvicted: a node crash threw Task (running or queued) back into
+	// the pending pool; Node is where it was evicted from.
+	TaskEvicted
+	// TaskRequeued: Task re-entered Node's queue outside the preemption
+	// path, for Requeue.
+	TaskRequeued
+	// TaskRetried: a failed execution attempt of Task on Node was charged
+	// against its retry budget for Retry, and the task re-admitted
+	// (directly to Pending, or to Backoff first); N counts failed attempts
+	// so far.
+	TaskRetried
+	// TaskFailedTerminally: Task exhausted its retry budget on Node; its
+	// job (and any job transitively waiting on it) fails with it.
+	TaskFailedTerminally
+	// SpeculationLaunched: a backup copy of the straggling Task started on
+	// Peer; Node is where the original runs.
+	SpeculationLaunched
+	// SpeculationWon: the backup copy of Task on Node finished first; the
+	// primary attempt on Peer is cancelled.
+	SpeculationWon
+	// SpeculationCancelled: the backup copy of Task on Node was abandoned
+	// (the primary finished first, its node crashed, or the job failed).
+	SpeculationCancelled
+	// NodeBlacklisted: Node's decayed failure penalty crossed the
+	// blacklist threshold (rising edge only).
+	NodeBlacklisted
+	// SolverDegraded: the offline scheduler fell down its degradation
+	// ladder (exact ILP → anytime incumbent → list → FIFO) instead of
+	// placing work with the tier it attempted (Degradation).
+	SolverDegraded
+	// JobShed: admission control rejected Job at arrival for Shed; the
+	// job counts as shed, not failed or deadline-missed. At is the job's
 	// arrival (ingestion) timestamp — under streaming ingestion the
 	// decision is evaluated at the period boundary that drained the job,
 	// but the event carries the arrival instant so audit streams and
 	// blame attribution line up with wall-clock ingestion.
-	JobShed(now units.Time, j *JobState, reason ShedReason)
-	// JobCancelled fires when an explicit cancel request (streaming
-	// ingestion) withdraws a live job. The job's remaining tasks are
-	// withdrawn as by a terminal failure, and jobs waiting on it fail
-	// with it; for accounting the job counts under JobsFailed, with
+	JobShed
+	// JobCancelled: an explicit cancel request (streaming ingestion)
+	// withdrew the live Job. Its remaining tasks are withdrawn as by a
+	// terminal failure, and jobs waiting on it fail with it; for
+	// accounting the job counts under JobsFailed, with
 	// Result.JobsCancelled recording the cause.
-	JobCancelled(now units.Time, j *JobState)
-	// InvariantViolated fires when the runtime auditor catches the engine
-	// in an inconsistent state; the offending node or task is quarantined
-	// rather than allowed to keep computing garbage.
-	InvariantViolated(now units.Time, v InvariantViolation)
-	// TaskSpanClosed fires when one span of a task's timeline closes
-	// (see TaskSpan). For every task of a completed job the spans are
-	// gapless and non-overlapping over [job arrival, task completion];
-	// the attribution layer relies on this tiling.
-	TaskSpanClosed(s TaskSpan)
-	// SnapshotTaken fires just before the durability sink captures a
-	// periodic crash-recovery snapshot at the end of a scheduling period
-	// (see Config.Durability); periods count from 1.
-	SnapshotTaken(now units.Time, period int)
-	// RecoveryStarted fires once on a resumed run, before the
-	// deterministic roll-forward from the restored snapshot begins;
-	// period is the snapshot's scheduling period.
-	RecoveryStarted(now units.Time, period int)
-	// Replayed fires on a resumed run when the roll-forward has verified
-	// every surviving write-ahead-log record — the run has reached the
-	// crash point and switches the log back to append mode.
-	Replayed(now units.Time, records int)
+	JobCancelled
+	// InvariantViolated: the runtime auditor caught the engine in an
+	// inconsistent state (Violation); the offending node or task is
+	// quarantined rather than allowed to keep computing garbage.
+	InvariantViolated
+	// TaskSpanClosed: one span of a task's timeline closed (Span; At is
+	// Span.End). For every task of a completed job the spans are gapless
+	// and non-overlapping over [job arrival, task completion]; the
+	// attribution layer relies on this tiling.
+	TaskSpanClosed
+	// SnapshotTaken: the durability sink is about to capture the periodic
+	// crash-recovery snapshot at the end of scheduling period N (see
+	// Config.Durability); periods count from 1.
+	SnapshotTaken
+	// RecoveryStarted: a resumed run is about to roll forward from the
+	// snapshot of scheduling period N. Fired once, by the harness that
+	// restores the snapshot.
+	RecoveryStarted
+	// Replayed: a resumed run's roll-forward verified all N surviving
+	// write-ahead-log records — the run has reached the crash point and
+	// switches the log back to append mode.
+	Replayed
+
+	// NumEventKinds counts the kinds above.
+	NumEventKinds
+)
+
+var eventKindNames = [NumEventKinds]string{
+	"TaskStarted", "TaskPreempted", "TaskCompleted", "JobCompleted",
+	"EpochStarted", "EpochEnded", "PreemptionConsidered", "DisorderDetected",
+	"NodeFailed", "NodeRecovered", "TaskEvicted", "TaskRequeued",
+	"TaskRetried", "TaskFailedTerminally", "SpeculationLaunched",
+	"SpeculationWon", "SpeculationCancelled", "NodeBlacklisted",
+	"SolverDegraded", "JobShed", "JobCancelled", "InvariantViolated",
+	"TaskSpanClosed", "SnapshotTaken", "RecoveryStarted", "Replayed",
 }
 
-// NopObserver implements Observer with no-ops. Embed it to write
-// observers that handle only a subset of events.
-type NopObserver struct{}
+// String returns the kind's Go constant name.
+func (k EventKind) String() string {
+	if k < NumEventKinds {
+		return eventKindNames[k]
+	}
+	return fmt.Sprintf("event(%d)", uint8(k))
+}
 
-// TaskStarted implements Observer.
-func (NopObserver) TaskStarted(units.Time, *TaskState, cluster.NodeID) {}
+// Event is one simulation lifecycle or decision event. Which fields
+// beyond Kind and At carry data depends on Kind (see the EventKind
+// constants); the rest are zero.
+type Event struct {
+	Kind EventKind
+	// Requeue, Retry and Shed are the reasons of TaskRequeued,
+	// TaskRetried and JobShed events.
+	Requeue RequeueReason
+	Retry   RetryReason
+	Shed    ShedReason
 
-// TaskPreempted implements Observer.
-func (NopObserver) TaskPreempted(units.Time, *TaskState, *TaskState, cluster.NodeID) {}
+	At units.Time
+	// Task is the task the event is about; for TaskPreempted and
+	// DisorderDetected it is the victim.
+	Task *TaskState
+	// Starter is the task that wanted the victim's slot.
+	Starter *TaskState
+	Job     *JobState
+	Node    cluster.NodeID
+	// Peer is the second node of a speculation event.
+	Peer cluster.NodeID
+	// N is the epoch, scheduling period, failed-attempt count or record
+	// count, per kind.
+	N int
 
-// TaskCompleted implements Observer.
-func (NopObserver) TaskCompleted(units.Time, *TaskState, cluster.NodeID) {}
+	Decision    PreemptionDecision
+	Degradation SolverDegradation
+	Violation   InvariantViolation
+	Span        TaskSpan
+	View        *View
+}
 
-// JobCompleted implements Observer.
-func (NopObserver) JobCompleted(units.Time, *JobState) {}
-
-// EpochStarted implements Observer.
-func (NopObserver) EpochStarted(units.Time, int) {}
-
-// EpochEnded implements Observer.
-func (NopObserver) EpochEnded(units.Time, int, *View) {}
-
-// PreemptionConsidered implements Observer.
-func (NopObserver) PreemptionConsidered(units.Time, PreemptionDecision) {}
-
-// DisorderDetected implements Observer.
-func (NopObserver) DisorderDetected(units.Time, *TaskState, *TaskState, cluster.NodeID) {}
-
-// NodeFailed implements Observer.
-func (NopObserver) NodeFailed(units.Time, cluster.NodeID) {}
-
-// NodeRecovered implements Observer.
-func (NopObserver) NodeRecovered(units.Time, cluster.NodeID) {}
-
-// TaskEvicted implements Observer.
-func (NopObserver) TaskEvicted(units.Time, *TaskState, cluster.NodeID) {}
-
-// TaskRequeued implements Observer.
-func (NopObserver) TaskRequeued(units.Time, *TaskState, cluster.NodeID, RequeueReason) {}
-
-// TaskRetried implements Observer.
-func (NopObserver) TaskRetried(units.Time, *TaskState, cluster.NodeID, int, RetryReason) {}
-
-// TaskFailedTerminally implements Observer.
-func (NopObserver) TaskFailedTerminally(units.Time, *TaskState, cluster.NodeID) {}
-
-// SpeculationLaunched implements Observer.
-func (NopObserver) SpeculationLaunched(units.Time, *TaskState, cluster.NodeID, cluster.NodeID) {}
-
-// SpeculationWon implements Observer.
-func (NopObserver) SpeculationWon(units.Time, *TaskState, cluster.NodeID, cluster.NodeID) {}
-
-// SpeculationCancelled implements Observer.
-func (NopObserver) SpeculationCancelled(units.Time, *TaskState, cluster.NodeID) {}
-
-// NodeBlacklisted implements Observer.
-func (NopObserver) NodeBlacklisted(units.Time, cluster.NodeID) {}
-
-// SolverDegraded implements Observer.
-func (NopObserver) SolverDegraded(units.Time, SolverDegradation) {}
-
-// JobShed implements Observer.
-func (NopObserver) JobShed(units.Time, *JobState, ShedReason) {}
-
-// JobCancelled implements Observer.
-func (NopObserver) JobCancelled(units.Time, *JobState) {}
-
-// InvariantViolated implements Observer.
-func (NopObserver) InvariantViolated(units.Time, InvariantViolation) {}
-
-// TaskSpanClosed implements Observer.
-func (NopObserver) TaskSpanClosed(TaskSpan) {}
-
-// SnapshotTaken implements Observer.
-func (NopObserver) SnapshotTaken(units.Time, int) {}
-
-// RecoveryStarted implements Observer.
-func (NopObserver) RecoveryStarted(units.Time, int) {}
-
-// Replayed implements Observer.
-func (NopObserver) Replayed(units.Time, int) {}
+// Observer receives simulation lifecycle and decision events; attach one
+// via Config.Observer to trace a run (debugging, visualization, custom
+// metrics, audit logs). Observe runs synchronously inside the event
+// loop — keep it cheap and do not mutate simulator state. Emitters test
+// for a nil observer before building the Event, so unobserved runs pay
+// one pointer test per event site.
+type Observer interface {
+	Observe(Event)
+}
 
 // Observers composes multiple observers; nil entries are skipped, so call
 // sites can build the slice from optional components without filtering.
 type Observers []Observer
 
-// TaskStarted implements Observer.
-func (os Observers) TaskStarted(now units.Time, t *TaskState, node cluster.NodeID) {
+// Observe implements Observer.
+func (os Observers) Observe(ev Event) {
 	for _, o := range os {
 		if o != nil {
-			o.TaskStarted(now, t, node)
+			o.Observe(ev)
 		}
 	}
-}
-
-// TaskPreempted implements Observer.
-func (os Observers) TaskPreempted(now units.Time, victim, starter *TaskState, node cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.TaskPreempted(now, victim, starter, node)
-		}
-	}
-}
-
-// TaskCompleted implements Observer.
-func (os Observers) TaskCompleted(now units.Time, t *TaskState, node cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.TaskCompleted(now, t, node)
-		}
-	}
-}
-
-// JobCompleted implements Observer.
-func (os Observers) JobCompleted(now units.Time, j *JobState) {
-	for _, o := range os {
-		if o != nil {
-			o.JobCompleted(now, j)
-		}
-	}
-}
-
-// EpochStarted implements Observer.
-func (os Observers) EpochStarted(now units.Time, epoch int) {
-	for _, o := range os {
-		if o != nil {
-			o.EpochStarted(now, epoch)
-		}
-	}
-}
-
-// EpochEnded implements Observer.
-func (os Observers) EpochEnded(now units.Time, epoch int, v *View) {
-	for _, o := range os {
-		if o != nil {
-			o.EpochEnded(now, epoch, v)
-		}
-	}
-}
-
-// PreemptionConsidered implements Observer.
-func (os Observers) PreemptionConsidered(now units.Time, d PreemptionDecision) {
-	for _, o := range os {
-		if o != nil {
-			o.PreemptionConsidered(now, d)
-		}
-	}
-}
-
-// DisorderDetected implements Observer.
-func (os Observers) DisorderDetected(now units.Time, starter, victim *TaskState, node cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.DisorderDetected(now, starter, victim, node)
-		}
-	}
-}
-
-// NodeFailed implements Observer.
-func (os Observers) NodeFailed(now units.Time, node cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.NodeFailed(now, node)
-		}
-	}
-}
-
-// NodeRecovered implements Observer.
-func (os Observers) NodeRecovered(now units.Time, node cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.NodeRecovered(now, node)
-		}
-	}
-}
-
-// TaskEvicted implements Observer.
-func (os Observers) TaskEvicted(now units.Time, t *TaskState, node cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.TaskEvicted(now, t, node)
-		}
-	}
-}
-
-// TaskRequeued implements Observer.
-func (os Observers) TaskRequeued(now units.Time, t *TaskState, node cluster.NodeID, reason RequeueReason) {
-	for _, o := range os {
-		if o != nil {
-			o.TaskRequeued(now, t, node, reason)
-		}
-	}
-}
-
-// TaskRetried implements Observer.
-func (os Observers) TaskRetried(now units.Time, t *TaskState, node cluster.NodeID, attempt int, reason RetryReason) {
-	for _, o := range os {
-		if o != nil {
-			o.TaskRetried(now, t, node, attempt, reason)
-		}
-	}
-}
-
-// TaskFailedTerminally implements Observer.
-func (os Observers) TaskFailedTerminally(now units.Time, t *TaskState, node cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.TaskFailedTerminally(now, t, node)
-		}
-	}
-}
-
-// SpeculationLaunched implements Observer.
-func (os Observers) SpeculationLaunched(now units.Time, t *TaskState, primary, backup cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.SpeculationLaunched(now, t, primary, backup)
-		}
-	}
-}
-
-// SpeculationWon implements Observer.
-func (os Observers) SpeculationWon(now units.Time, t *TaskState, winner, loser cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.SpeculationWon(now, t, winner, loser)
-		}
-	}
-}
-
-// SpeculationCancelled implements Observer.
-func (os Observers) SpeculationCancelled(now units.Time, t *TaskState, backup cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.SpeculationCancelled(now, t, backup)
-		}
-	}
-}
-
-// NodeBlacklisted implements Observer.
-func (os Observers) NodeBlacklisted(now units.Time, node cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.NodeBlacklisted(now, node)
-		}
-	}
-}
-
-// SolverDegraded implements Observer.
-func (os Observers) SolverDegraded(now units.Time, d SolverDegradation) {
-	for _, o := range os {
-		if o != nil {
-			o.SolverDegraded(now, d)
-		}
-	}
-}
-
-// JobShed implements Observer.
-func (os Observers) JobShed(now units.Time, j *JobState, reason ShedReason) {
-	for _, o := range os {
-		if o != nil {
-			o.JobShed(now, j, reason)
-		}
-	}
-}
-
-// JobCancelled implements Observer.
-func (os Observers) JobCancelled(now units.Time, j *JobState) {
-	for _, o := range os {
-		if o != nil {
-			o.JobCancelled(now, j)
-		}
-	}
-}
-
-// InvariantViolated implements Observer.
-func (os Observers) InvariantViolated(now units.Time, v InvariantViolation) {
-	for _, o := range os {
-		if o != nil {
-			o.InvariantViolated(now, v)
-		}
-	}
-}
-
-// TaskSpanClosed implements Observer.
-func (os Observers) TaskSpanClosed(s TaskSpan) {
-	for _, o := range os {
-		if o != nil {
-			o.TaskSpanClosed(s)
-		}
-	}
-}
-
-// SnapshotTaken implements Observer.
-func (os Observers) SnapshotTaken(now units.Time, period int) {
-	for _, o := range os {
-		if o != nil {
-			o.SnapshotTaken(now, period)
-		}
-	}
-}
-
-// RecoveryStarted implements Observer.
-func (os Observers) RecoveryStarted(now units.Time, period int) {
-	for _, o := range os {
-		if o != nil {
-			o.RecoveryStarted(now, period)
-		}
-	}
-}
-
-// Replayed implements Observer.
-func (os Observers) Replayed(now units.Time, records int) {
-	for _, o := range os {
-		if o != nil {
-			o.Replayed(now, records)
-		}
-	}
-}
-
-// LogObserver writes one line per event, suitable for debugging small
-// simulations.
-type LogObserver struct {
-	W io.Writer
-	// Quiet suppresses the high-volume decision events (epochs and
-	// preemption considerations), keeping only lifecycle lines.
-	Quiet bool
-}
-
-// TaskStarted implements Observer.
-func (l *LogObserver) TaskStarted(now units.Time, t *TaskState, node cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v start    %-8v node%d\n", now, t.Key(), node)
-}
-
-// TaskPreempted implements Observer.
-func (l *LogObserver) TaskPreempted(now units.Time, victim, starter *TaskState, node cluster.NodeID) {
-	skey := "-"
-	if starter != nil {
-		skey = starter.Key().String()
-	}
-	fmt.Fprintf(l.W, "%-12v preempt  %-8v by %-8s node%d\n", now, victim.Key(), skey, node)
-}
-
-// TaskCompleted implements Observer.
-func (l *LogObserver) TaskCompleted(now units.Time, t *TaskState, node cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v complete %-8v node%d\n", now, t.Key(), node)
-}
-
-// JobCompleted implements Observer.
-func (l *LogObserver) JobCompleted(now units.Time, j *JobState) {
-	fmt.Fprintf(l.W, "%-12v job-done J%d met=%v\n", now, j.Dag.ID, j.MetDeadline())
-}
-
-// EpochStarted implements Observer.
-func (l *LogObserver) EpochStarted(now units.Time, epoch int) {
-	if !l.Quiet {
-		fmt.Fprintf(l.W, "%-12v epoch    #%d\n", now, epoch)
-	}
-}
-
-// EpochEnded implements Observer.
-func (l *LogObserver) EpochEnded(units.Time, int, *View) {}
-
-// PreemptionConsidered implements Observer.
-func (l *LogObserver) PreemptionConsidered(now units.Time, d PreemptionDecision) {
-	if l.Quiet {
-		return
-	}
-	fmt.Fprintf(l.W, "%-12v consider %-8v over %-8v gain=%.3g overhead=%.3g %s\n",
-		now, d.Candidate.Key(), d.Victim.Key(), d.Gain, d.Overhead, d.Verdict)
-}
-
-// DisorderDetected implements Observer.
-func (l *LogObserver) DisorderDetected(now units.Time, starter, victim *TaskState, node cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v disorder %-8v vs %-8v node%d\n", now, starter.Key(), victim.Key(), node)
-}
-
-// NodeFailed implements Observer.
-func (l *LogObserver) NodeFailed(now units.Time, node cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v node-fail node%d\n", now, node)
-}
-
-// NodeRecovered implements Observer.
-func (l *LogObserver) NodeRecovered(now units.Time, node cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v node-up  node%d\n", now, node)
-}
-
-// TaskEvicted implements Observer.
-func (l *LogObserver) TaskEvicted(now units.Time, t *TaskState, node cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v evict    %-8v node%d\n", now, t.Key(), node)
-}
-
-// TaskRequeued implements Observer.
-func (l *LogObserver) TaskRequeued(now units.Time, t *TaskState, node cluster.NodeID, reason RequeueReason) {
-	fmt.Fprintf(l.W, "%-12v requeue  %-8v node%d (%s)\n", now, t.Key(), node, reason)
-}
-
-// TaskRetried implements Observer.
-func (l *LogObserver) TaskRetried(now units.Time, t *TaskState, node cluster.NodeID, attempt int, reason RetryReason) {
-	fmt.Fprintf(l.W, "%-12v retry    %-8v node%d attempt=%d (%s)\n", now, t.Key(), node, attempt, reason)
-}
-
-// TaskFailedTerminally implements Observer.
-func (l *LogObserver) TaskFailedTerminally(now units.Time, t *TaskState, node cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v perm-fail %-8v node%d\n", now, t.Key(), node)
-}
-
-// SpeculationLaunched implements Observer.
-func (l *LogObserver) SpeculationLaunched(now units.Time, t *TaskState, primary, backup cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v spec     %-8v node%d backup on node%d\n", now, t.Key(), primary, backup)
-}
-
-// SpeculationWon implements Observer.
-func (l *LogObserver) SpeculationWon(now units.Time, t *TaskState, winner, loser cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v spec-won %-8v node%d beat node%d\n", now, t.Key(), winner, loser)
-}
-
-// SpeculationCancelled implements Observer.
-func (l *LogObserver) SpeculationCancelled(now units.Time, t *TaskState, backup cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v spec-cancel %-8v node%d\n", now, t.Key(), backup)
-}
-
-// NodeBlacklisted implements Observer.
-func (l *LogObserver) NodeBlacklisted(now units.Time, node cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v blacklist node%d\n", now, node)
-}
-
-// SolverDegraded implements Observer.
-func (l *LogObserver) SolverDegraded(now units.Time, d SolverDegradation) {
-	fmt.Fprintf(l.W, "%-12v degrade  %s -> %s (%s, %d tasks)\n", now, d.From, d.To, d.Reason, d.PendingTasks)
-}
-
-// JobShed implements Observer.
-func (l *LogObserver) JobShed(now units.Time, j *JobState, reason ShedReason) {
-	fmt.Fprintf(l.W, "%-12v shed     J%d (%s)\n", now, j.Dag.ID, reason)
-}
-
-// JobCancelled implements Observer.
-func (l *LogObserver) JobCancelled(now units.Time, j *JobState) {
-	fmt.Fprintf(l.W, "%-12v cancel   J%d\n", now, j.ID())
-}
-
-// InvariantViolated implements Observer.
-func (l *LogObserver) InvariantViolated(now units.Time, v InvariantViolation) {
-	tkey := "-"
-	if v.Task != nil {
-		tkey = v.Task.Key().String()
-	}
-	fmt.Fprintf(l.W, "%-12v INVARIANT %s node%d %s: %s\n", now, v.Check, v.Node, tkey, v.Detail)
-}
-
-// TaskSpanClosed implements Observer.
-func (l *LogObserver) TaskSpanClosed(s TaskSpan) {
-	if l.Quiet {
-		return
-	}
-	fmt.Fprintf(l.W, "%-12v span     %-8v %s [%v, %v) node%d (%s)\n",
-		s.End, s.Task.Key(), s.Kind, s.Start, s.End, s.Node, s.Cause)
-}
-
-// SnapshotTaken implements Observer.
-func (l *LogObserver) SnapshotTaken(now units.Time, period int) {
-	fmt.Fprintf(l.W, "%-12v snapshot period=%d\n", now, period)
-}
-
-// RecoveryStarted implements Observer.
-func (l *LogObserver) RecoveryStarted(now units.Time, period int) {
-	fmt.Fprintf(l.W, "%-12v recovery period=%d\n", now, period)
-}
-
-// Replayed implements Observer.
-func (l *LogObserver) Replayed(now units.Time, records int) {
-	fmt.Fprintf(l.W, "%-12v replayed records=%d\n", now, records)
 }

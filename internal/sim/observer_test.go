@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"dsp/internal/cluster"
@@ -10,18 +9,28 @@ import (
 
 // countingObserver tallies events.
 type countingObserver struct {
-	NopObserver
 	starts, preempts, completes, jobs int
 	lastPreemptStarter                *TaskState
 }
 
-func (c *countingObserver) TaskStarted(units.Time, *TaskState, cluster.NodeID) { c.starts++ }
-func (c *countingObserver) TaskPreempted(_ units.Time, _, s *TaskState, _ cluster.NodeID) {
-	c.preempts++
-	c.lastPreemptStarter = s
+func (c *countingObserver) Observe(ev Event) {
+	switch ev.Kind {
+	case TaskStarted:
+		c.starts++
+	case TaskPreempted:
+		c.preempts++
+		c.lastPreemptStarter = ev.Starter
+	case TaskCompleted:
+		c.completes++
+	case JobCompleted:
+		c.jobs++
+	}
 }
-func (c *countingObserver) TaskCompleted(units.Time, *TaskState, cluster.NodeID) { c.completes++ }
-func (c *countingObserver) JobCompleted(units.Time, *JobState)                   { c.jobs++ }
+
+// observerFunc adapts a closure to the Observer interface for tests.
+type observerFunc func(Event)
+
+func (f observerFunc) Observe(ev Event) { f(ev) }
 
 func TestObserverReceivesEvents(t *testing.T) {
 	j := sizedJob(0, 10000, 1000)
@@ -75,9 +84,6 @@ func TestObserversCompose(t *testing.T) {
 	}
 }
 
-// NopObserver must satisfy the full interface so implementors can embed
-// it and stay compatible as the event surface grows.
-var _ Observer = NopObserver{}
 var _ Observer = Observers{}
 
 func TestObserversSkipNil(t *testing.T) {
@@ -88,7 +94,7 @@ func TestObserversSkipNil(t *testing.T) {
 	_, err := Run(Config{
 		Cluster:   testCluster(1, 1),
 		Scheduler: rrScheduler{},
-		Observer:  Observers{nil, a, nil, NopObserver{}},
+		Observer:  Observers{nil, a, nil, Observers{}},
 	}, mkWorkload([]units.Time{0}, j))
 	if err != nil {
 		t.Fatal(err)
@@ -107,11 +113,16 @@ func TestObserverDecisionEvents(t *testing.T) {
 		epochs    int
 		ends      int
 	}{}
-	obsv := observerFuncs{
-		onConsidered: func(d PreemptionDecision) { rec.decisions = append(rec.decisions, d) },
-		onEpochStart: func() { rec.epochs++ },
-		onEpochEnd:   func() { rec.ends++ },
-	}
+	obsv := observerFunc(func(ev Event) {
+		switch ev.Kind {
+		case PreemptionConsidered:
+			rec.decisions = append(rec.decisions, ev.Decision)
+		case EpochStarted:
+			rec.epochs++
+		case EpochEnded:
+			rec.ends++
+		}
+	})
 	j := sizedJob(0, 10000, 1000)
 	pre := &onceActor{act: func(now units.Time, v *View) []Action {
 		return []Action{{Node: 0, Victim: v.Running(0)[0], Starter: v.Queue(0)[0], Urgent: true}}
@@ -152,30 +163,6 @@ func TestObserverDecisionEvents(t *testing.T) {
 	}
 }
 
-// observerFuncs adapts closures to the Observer interface for tests.
-type observerFuncs struct {
-	NopObserver
-	onConsidered func(PreemptionDecision)
-	onEpochStart func()
-	onEpochEnd   func()
-}
-
-func (o observerFuncs) PreemptionConsidered(_ units.Time, d PreemptionDecision) {
-	if o.onConsidered != nil {
-		o.onConsidered(d)
-	}
-}
-func (o observerFuncs) EpochStarted(units.Time, int) {
-	if o.onEpochStart != nil {
-		o.onEpochStart()
-	}
-}
-func (o observerFuncs) EpochEnded(units.Time, int, *View) {
-	if o.onEpochEnd != nil {
-		o.onEpochEnd()
-	}
-}
-
 func TestVerdictStrings(t *testing.T) {
 	want := map[Verdict]string{
 		VerdictAccepted:       "accepted",
@@ -191,23 +178,10 @@ func TestVerdictStrings(t *testing.T) {
 	if RequeueBlindTimeout.String() != "blind-timeout" {
 		t.Errorf("RequeueBlindTimeout = %q", RequeueBlindTimeout.String())
 	}
-}
-
-func TestLogObserverOutput(t *testing.T) {
-	var sb strings.Builder
-	j := sizedJob(0, 1000)
-	_, err := Run(Config{
-		Cluster:   testCluster(1, 1),
-		Scheduler: rrScheduler{},
-		Observer:  &LogObserver{W: &sb},
-	}, mkWorkload([]units.Time{0}, j))
-	if err != nil {
-		t.Fatal(err)
+	if TaskSpanClosed.String() != "TaskSpanClosed" || Replayed.String() != "Replayed" {
+		t.Errorf("event kind names out of step with the constants: %v, %v", TaskSpanClosed, Replayed)
 	}
-	out := sb.String()
-	for _, want := range []string{"start", "complete", "job-done J0"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("log missing %q:\n%s", want, out)
-		}
+	if s := NumEventKinds.String(); s != "event(26)" {
+		t.Errorf("out-of-range event kind = %q", s)
 	}
 }

@@ -76,14 +76,14 @@ func (e *Engine) retryOrFail(k cluster.NodeID, t *TaskState, now units.Time, rea
 		t.Phase = Failed
 		e.metrics.TerminalFailures++
 		if o := e.cfg.Observer; o != nil {
-			o.TaskFailedTerminally(now, t, k)
+			o.Observe(Event{Kind: TaskFailedTerminally, At: now, Task: t, Node: k})
 		}
 		e.failJob(t.Job, now)
 		return
 	}
 	e.metrics.Retries++
 	if o := e.cfg.Observer; o != nil {
-		o.TaskRetried(now, t, k, t.Attempts, reason)
+		o.Observe(Event{Kind: TaskRetried, At: now, Task: t, Node: k, N: t.Attempts, Retry: reason})
 	}
 	delay := e.backoffDelay(t.Attempts)
 	if delay <= 0 {
@@ -206,7 +206,7 @@ func (e *Engine) addPenalty(k cluster.NodeID, amount float64, now units.Time) {
 		ns.blacklisted = true
 		e.metrics.Blacklistings++
 		if o := e.cfg.Observer; o != nil {
-			o.NodeBlacklisted(now, k)
+			o.Observe(Event{Kind: NodeBlacklisted, At: now, Node: k})
 		}
 	}
 }

@@ -10,33 +10,33 @@ import (
 
 // resilienceObserver tallies the resilience event surface.
 type resilienceObserver struct {
-	NopObserver
 	retries, terminals        int
 	specLaunch, specWon       int
 	specCancel, blacklistings int
 	failed, recovered, evicts int
 }
 
-func (r *resilienceObserver) TaskRetried(_ units.Time, _ *TaskState, _ cluster.NodeID, _ int, _ RetryReason) {
-	r.retries++
-}
-func (r *resilienceObserver) TaskFailedTerminally(units.Time, *TaskState, cluster.NodeID) {
-	r.terminals++
-}
-func (r *resilienceObserver) SpeculationLaunched(units.Time, *TaskState, cluster.NodeID, cluster.NodeID) {
-	r.specLaunch++
-}
-func (r *resilienceObserver) SpeculationWon(units.Time, *TaskState, cluster.NodeID, cluster.NodeID) {
-	r.specWon++
-}
-func (r *resilienceObserver) SpeculationCancelled(units.Time, *TaskState, cluster.NodeID) {
-	r.specCancel++
-}
-func (r *resilienceObserver) NodeBlacklisted(units.Time, cluster.NodeID) { r.blacklistings++ }
-func (r *resilienceObserver) NodeFailed(units.Time, cluster.NodeID)      { r.failed++ }
-func (r *resilienceObserver) NodeRecovered(units.Time, cluster.NodeID)   { r.recovered++ }
-func (r *resilienceObserver) TaskEvicted(units.Time, *TaskState, cluster.NodeID) {
-	r.evicts++
+func (r *resilienceObserver) Observe(ev Event) {
+	switch ev.Kind {
+	case TaskRetried:
+		r.retries++
+	case TaskFailedTerminally:
+		r.terminals++
+	case SpeculationLaunched:
+		r.specLaunch++
+	case SpeculationWon:
+		r.specWon++
+	case SpeculationCancelled:
+		r.specCancel++
+	case NodeBlacklisted:
+		r.blacklistings++
+	case NodeFailed:
+		r.failed++
+	case NodeRecovered:
+		r.recovered++
+	case TaskEvicted:
+		r.evicts++
+	}
 }
 
 func TestRetryBudgetExhaustionFailsJobCleanly(t *testing.T) {

@@ -81,8 +81,6 @@ type Result struct {
 	// node that first ran on it / elsewhere.
 	LocalityHits   int
 	LocalityMisses int
-	// GrownTasks counts dynamically added tasks.
-	GrownTasks int
 	// TaskFaults counts injected transient task-attempt failures.
 	TaskFaults int
 	// Retries counts failed attempts (transient faults and crash

@@ -112,7 +112,7 @@ func (c SpanCause) String() string {
 }
 
 // TaskSpan is one closed span of a task's timeline, delivered via
-// Observer.TaskSpanClosed. Node is where the span was spent (-1 for
+// a TaskSpanClosed event. Node is where the span was spent (-1 for
 // off-node waits: pending and backoff).
 type TaskSpan struct {
 	Task  *TaskState
@@ -126,13 +126,14 @@ type TaskSpan struct {
 // emitSpan delivers one closed span to the observer. Zero-length spans
 // are dropped: they carry no time and would only bloat the stream.
 func (e *Engine) emitSpan(t *TaskState, kind SpanKind, cause SpanCause, node cluster.NodeID, start, end units.Time) {
-	if e.cfg.Observer == nil || end <= start {
+	o := e.cfg.Observer
+	if o == nil || end <= start {
 		return
 	}
 	e.cfg.Prof.Enter(prof.PhaseSpans)
-	e.cfg.Observer.TaskSpanClosed(TaskSpan{
+	o.Observe(Event{Kind: TaskSpanClosed, At: end, Span: TaskSpan{
 		Task: t, Kind: kind, Cause: cause, Node: node, Start: start, End: end,
-	})
+	}})
 	e.cfg.Prof.Exit()
 }
 

@@ -17,7 +17,6 @@ import (
 
 // spanCollector records every closed span and every completed job.
 type spanCollector struct {
-	sim.NopObserver
 	spans map[dag.Key][]sim.TaskSpan
 	jobs  []*sim.JobState
 }
@@ -26,13 +25,14 @@ func newSpanCollector() *spanCollector {
 	return &spanCollector{spans: make(map[dag.Key][]sim.TaskSpan)}
 }
 
-func (c *spanCollector) TaskSpanClosed(s sim.TaskSpan) {
-	k := s.Task.Key()
-	c.spans[k] = append(c.spans[k], s)
-}
-
-func (c *spanCollector) JobCompleted(_ units.Time, j *sim.JobState) {
-	c.jobs = append(c.jobs, j)
+func (c *spanCollector) Observe(ev sim.Event) {
+	switch ev.Kind {
+	case sim.TaskSpanClosed:
+		k := ev.Span.Task.Key()
+		c.spans[k] = append(c.spans[k], ev.Span)
+	case sim.JobCompleted:
+		c.jobs = append(c.jobs, ev.Job)
+	}
 }
 
 // checkTiling asserts the span-tiling invariant for every task of every

@@ -202,7 +202,7 @@ func (e *Engine) launchBackup(t *TaskState, k cluster.NodeID, now units.Time) {
 	e.activeBackups++
 	e.metrics.Speculations++
 	if o := e.cfg.Observer; o != nil {
-		o.SpeculationLaunched(now, t, t.Node, k)
+		o.Observe(Event{Kind: SpeculationLaunched, At: now, Task: t, Node: t.Node, Peer: k})
 	}
 }
 
@@ -271,7 +271,7 @@ func (e *Engine) backupComplete(br *backupRun, now units.Time) {
 	}
 	e.metrics.SpeculationWins++
 	if o := e.cfg.Observer; o != nil {
-		o.SpeculationWon(now, t, br.node, loser)
+		o.Observe(Event{Kind: SpeculationWon, At: now, Task: t, Node: br.node, Peer: loser})
 	}
 	t.Node = br.node
 	e.finish(br.node, t, now)
@@ -294,7 +294,7 @@ func (e *Engine) cancelBackup(br *backupRun, now units.Time) {
 		e.metrics.SpeculativeWaste += now - br.launched
 	}
 	if o := e.cfg.Observer; o != nil {
-		o.SpeculationCancelled(now, br.task, br.node)
+		o.Observe(Event{Kind: SpeculationCancelled, At: now, Task: br.task, Node: br.node})
 	}
 	if !e.nodes[br.node].down {
 		e.tryFill(br.node, now)

@@ -271,8 +271,8 @@ type JobState struct {
 // after a settled streaming job is retired and its DAG released.
 func (j *JobState) ID() dag.JobID { return j.id }
 
-// TaskCount returns the job's total task count as of build time (before
-// any dynamic growth), valid even after retirement.
+// TaskCount returns the job's total task count, valid even after
+// retirement.
 func (j *JobState) TaskCount() int { return j.fpLen }
 
 // Failed reports whether the job was terminated by a terminal task
@@ -321,8 +321,7 @@ func (j *JobState) Eligible() bool {
 // Done reports whether every task of the job has completed.
 func (j *JobState) Done() bool { return j.remaining == 0 }
 
-// Remaining returns the number of tasks that still have to complete,
-// including tasks reserved for pending dynamic growth.
+// Remaining returns the number of tasks that still have to complete.
 func (j *JobState) Remaining() int { return j.remaining }
 
 // MetDeadline reports whether the job finished by its deadline.

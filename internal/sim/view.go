@@ -178,6 +178,6 @@ func (v *View) Checkpoint() cluster.CheckpointPolicy { return v.engine.cfg.Check
 func (v *View) ReportSolverDegraded(now units.Time, d SolverDegradation) {
 	v.engine.metrics.SolverDegradations++
 	if o := v.engine.cfg.Observer; o != nil {
-		o.SolverDegraded(now, d)
+		o.Observe(Event{Kind: SolverDegraded, At: now, Degradation: d})
 	}
 }

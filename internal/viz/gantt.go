@@ -32,7 +32,6 @@ type Span struct {
 
 // Recorder collects spans; attach it via sim.Config.Observer.
 type Recorder struct {
-	sim.NopObserver
 	Spans []Span
 	// open maps a task to the index of its currently open span (indices,
 	// not pointers: append may reallocate Spans).
@@ -44,36 +43,19 @@ func NewRecorder() *Recorder {
 	return &Recorder{open: make(map[dag.Key]int)}
 }
 
-// TaskStarted implements sim.Observer.
-func (r *Recorder) TaskStarted(now units.Time, t *sim.TaskState, node cluster.NodeID) {
-	r.Spans = append(r.Spans, Span{Task: t.Key(), Node: node, Start: now, End: -1})
-	r.open[t.Key()] = len(r.Spans) - 1
-}
-
-// TaskPreempted implements sim.Observer.
-func (r *Recorder) TaskPreempted(now units.Time, victim, _ *sim.TaskState, _ cluster.NodeID) {
-	if i, ok := r.open[victim.Key()]; ok {
-		r.Spans[i].End = now
-		r.Spans[i].Preempted = true
-		delete(r.open, victim.Key())
-	}
-}
-
-// TaskCompleted implements sim.Observer.
-func (r *Recorder) TaskCompleted(now units.Time, t *sim.TaskState, _ cluster.NodeID) {
-	if i, ok := r.open[t.Key()]; ok {
-		r.Spans[i].End = now
-		delete(r.open, t.Key())
-	}
-}
-
-// TaskEvicted implements sim.Observer: a node crash cuts the span short
-// the same way a preemption does.
-func (r *Recorder) TaskEvicted(now units.Time, t *sim.TaskState, _ cluster.NodeID) {
-	if i, ok := r.open[t.Key()]; ok {
-		r.Spans[i].End = now
-		r.Spans[i].Preempted = true
-		delete(r.open, t.Key())
+// Observe implements sim.Observer: a start opens a span; completion
+// closes it, and a preemption or crash eviction cuts it short.
+func (r *Recorder) Observe(ev sim.Event) {
+	switch ev.Kind {
+	case sim.TaskStarted:
+		r.Spans = append(r.Spans, Span{Task: ev.Task.Key(), Node: ev.Node, Start: ev.At, End: -1})
+		r.open[ev.Task.Key()] = len(r.Spans) - 1
+	case sim.TaskCompleted, sim.TaskPreempted, sim.TaskEvicted:
+		if i, ok := r.open[ev.Task.Key()]; ok {
+			r.Spans[i].End = ev.At
+			r.Spans[i].Preempted = ev.Kind != sim.TaskCompleted
+			delete(r.open, ev.Task.Key())
+		}
 	}
 }
 
